@@ -10,6 +10,12 @@
 
 namespace hetsched {
 
+namespace {
+
+constexpr std::size_t to_size(int v) { return static_cast<std::size_t>(v); }
+
+}  // namespace
+
 PlanStorage::PlanStorage(const PlanLayout& layout) : layout_(layout) {
   const std::size_t nh = layout_.handles.size();
   if (layout_.n_tiles <= 0 || layout_.base_nb <= 0 ||
@@ -36,21 +42,29 @@ PlanStorage::PlanStorage(const PlanLayout& layout) : layout_(layout) {
         h.row0 + h.nb > layout_.base_nb || h.col0 + h.nb > layout_.base_nb)
       throw std::invalid_argument("PlanStorage: handle " + std::to_string(i) +
                                   " outside its cell");
-    offset_[i] = total;
-    total += static_cast<std::size_t>(h.nb) * static_cast<std::size_t>(h.nb);
     canonical_[i] =
         !h.view && h.nb == cell_nb[static_cast<std::size_t>(tile_linear_index(
                        h.cell_i, h.cell_j))];
+    // A split cell's base handle is neither canonical nor a view: no task
+    // accesses it, so it gets no block.
+    if (!h.view && !canonical_[i]) {
+      offset_[i] = kNoBlock;
+      continue;
+    }
+    offset_[i] = total;
+    total += to_size(h.nb) * to_size(h.nb);
   }
   data_.assign(total, 0.0);
 }
 
 double* PlanStorage::block(int handle) {
-  return data_.data() + offset_[static_cast<std::size_t>(handle)];
+  const std::size_t off = offset_[to_size(handle)];
+  return off == kNoBlock ? nullptr : data_.data() + off;
 }
 
 const double* PlanStorage::block(int handle) const {
-  return data_.data() + offset_[static_cast<std::size_t>(handle)];
+  const std::size_t off = offset_[to_size(handle)];
+  return off == kNoBlock ? nullptr : data_.data() + off;
 }
 
 void PlanStorage::import_from(const TileMatrix& a) {
@@ -63,9 +77,9 @@ void PlanStorage::import_from(const TileMatrix& a) {
     const double* src = a.tile(h.cell_i, h.cell_j);
     double* dst = data_.data() + offset_[i];
     for (int c = 0; c < h.nb; ++c)
-      std::memcpy(dst + static_cast<std::size_t>(c) * h.nb,
-                  src + static_cast<std::size_t>(h.col0 + c) * base + h.row0,
-                  static_cast<std::size_t>(h.nb) * sizeof(double));
+      std::memcpy(dst + to_size(c) * to_size(h.nb),
+                  src + to_size(h.col0 + c) * to_size(base) + to_size(h.row0),
+                  to_size(h.nb) * sizeof(double));
   }
 }
 
@@ -79,9 +93,9 @@ void PlanStorage::export_to(TileMatrix& a) const {
     double* dst = a.tile(h.cell_i, h.cell_j);
     const double* src = data_.data() + offset_[i];
     for (int c = 0; c < h.nb; ++c)
-      std::memcpy(dst + static_cast<std::size_t>(h.col0 + c) * base + h.row0,
-                  src + static_cast<std::size_t>(c) * h.nb,
-                  static_cast<std::size_t>(h.nb) * sizeof(double));
+      std::memcpy(dst + to_size(h.col0 + c) * to_size(base) + to_size(h.row0),
+                  src + to_size(c) * to_size(h.nb),
+                  to_size(h.nb) * sizeof(double));
   }
 }
 
@@ -92,7 +106,8 @@ namespace {
 // a diagonal cell cover only its lower block-triangle on both sides, so
 // the union of sources covers every element a consumer may read (the
 // strict upper triangle of diagonal view blocks stays at its initial
-// zeros, which no triangular kernel references).
+// zeros, which no triangular kernel references; nothing writes it, so a
+// reused storage still holds those zeros).
 void run_repack(PlanStorage& s, const Task& t) {
   const PlanLayout& lay = s.layout();
   for (const TaskAccess& w : t.accesses) {
@@ -107,14 +122,12 @@ void run_repack(PlanStorage& s, const Task& t) {
       const int col0 = std::max(wh.col0, rh.col0);
       const int col1 = std::min(wh.col0 + wh.nb, rh.col0 + rh.nb);
       if (row0 >= row1 || col0 >= col1) continue;
-      const double* src = s.block(r.tile);
+      const double* src = s.block(r.tile) + to_size(row0 - rh.row0);
+      double* out = dst + to_size(row0 - wh.row0);
+      const std::size_t bytes = to_size(row1 - row0) * sizeof(double);
       for (int c = col0; c < col1; ++c)
-        std::memcpy(
-            dst + static_cast<std::size_t>(c - wh.col0) * wh.nb +
-                (row0 - wh.row0),
-            src + static_cast<std::size_t>(c - rh.col0) * rh.nb +
-                (row0 - rh.row0),
-            static_cast<std::size_t>(row1 - row0) * sizeof(double));
+        std::memcpy(out + to_size(c - wh.col0) * to_size(wh.nb),
+                    src + to_size(c - rh.col0) * to_size(rh.nb), bytes);
     }
   }
 }

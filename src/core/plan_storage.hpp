@@ -20,15 +20,18 @@ namespace hetsched {
 
 class PlanStorage {
  public:
-  /// Allocates zero-initialized blocks for every handle of `layout`
-  /// (zeros make the never-written strict-upper regions of diagonal-cell
-  /// views deterministic). Throws std::invalid_argument on an empty or
-  /// inconsistent layout.
+  /// Allocates zero-initialized blocks for every canonical and view handle
+  /// of `layout` (zeros make the never-written strict-upper regions of
+  /// diagonal-cell views deterministic, also when the storage is reused
+  /// for later runs of the same layout). A split cell's base handle gets
+  /// no block. Throws std::invalid_argument on an empty or inconsistent
+  /// layout.
   explicit PlanStorage(const PlanLayout& layout);
 
   const PlanLayout& layout() const noexcept { return layout_; }
 
   /// Contiguous column-major block of `handle`; lda = block_nb(handle).
+  /// Null for a handle without a block (a split cell's base handle).
   double* block(int handle);
   const double* block(int handle) const;
   int block_nb(int handle) const {
@@ -49,8 +52,10 @@ class PlanStorage {
   void export_to(TileMatrix& a) const;
 
  private:
+  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+
   PlanLayout layout_;
-  std::vector<std::size_t> offset_;
+  std::vector<std::size_t> offset_;  ///< kNoBlock for a handle without one
   std::vector<char> canonical_;
   std::vector<double> data_;
 };

@@ -329,7 +329,8 @@ void MetricsAggregator::report_line(const MetricsSnapshot& s) const {
                static_cast<unsigned long long>(
                    s.compute_events + s.transfer_events + s.fault_events),
                s.makespan_s, s.gflops, idle.empty() ? "-" : idle.c_str(),
-               s.bound_ratio, static_cast<unsigned long long>(s.fault_events),
+               s.bound_ratio, named.c_str(),
+               static_cast<unsigned long long>(s.fault_events),
                static_cast<unsigned long long>(s.pack_hits),
                static_cast<unsigned long long>(s.pack_misses));
   std::fflush(report_out_);

@@ -1,8 +1,12 @@
 // The four public entry points, each a thin wrapper: construct a
 // RunEngine, pick a Backend, run. Argument validation that predates the
 // engine (thread counts, time scale, calibration shape) stays here so the
-// original error messages survive.
+// original error messages survive. The plan executor also keeps the last
+// plan's lowered graph and one idle PlanStorage across calls.
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "exec/parallel_executor.hpp"
 #include "exec/plan_executor.hpp"
@@ -69,6 +73,72 @@ RunReport emulate_with_scheduler(const TaskGraph& g,
   return emulate_with_scheduler(g, calibration, sched, time_scale, opt);
 }
 
+namespace {
+
+/// The lowering of one TilePlan: its graph and the handle directory its
+/// storage is laid out by. Immutable once built, so calls share it.
+struct LoweredPlan {
+  explicit LoweredPlan(const TilePlan& p)
+      : plan(p), graph(build_cholesky_dag_plan(p, &layout)) {}
+  TilePlan plan;
+  PlanLayout layout;
+  TaskGraph graph;
+};
+
+/// The process-wide plan slot: the last returned plan's lowering and one
+/// idle PlanStorage sized for it. A storage above glibc's mmap threshold
+/// is mapped, page-faulted, zeroed and unmapped on every allocation, which
+/// costs as much as a small factorization; the slot keeps one alive.
+struct PlanSlot {
+  std::mutex mu;
+  std::shared_ptr<const LoweredPlan> lowered;
+  std::unique_ptr<PlanStorage> idle;
+};
+
+PlanSlot& plan_slot() {
+  static PlanSlot slot;
+  return slot;
+}
+
+/// Checks the slot's storage out for one call when the slot holds `plan`
+/// and its storage is idle; otherwise lowers and allocates privately
+/// (reusing the slot's lowering when only the storage is busy). The
+/// destructor hands the storage back on every exit path: whichever
+/// storage returns last replaces the slot's.
+class PlanLease {
+ public:
+  explicit PlanLease(const TilePlan& plan) {
+    PlanSlot& slot = plan_slot();
+    {
+      std::lock_guard<std::mutex> lock(slot.mu);
+      if (slot.lowered && slot.lowered->plan == plan) {
+        lowered_ = slot.lowered;
+        storage_ = std::move(slot.idle);
+      }
+    }
+    if (!lowered_) lowered_ = std::make_shared<const LoweredPlan>(plan);
+    if (!storage_) storage_ = std::make_unique<PlanStorage>(lowered_->layout);
+  }
+  ~PlanLease() {
+    PlanSlot& slot = plan_slot();
+    std::lock_guard<std::mutex> lock(slot.mu);
+    std::swap(slot.lowered, lowered_);
+    std::swap(slot.idle, storage_);
+    // The displaced lowering and storage are freed after the unlock.
+  }
+  PlanLease(const PlanLease&) = delete;
+  PlanLease& operator=(const PlanLease&) = delete;
+
+  const TaskGraph& graph() const { return lowered_->graph; }
+  PlanStorage& storage() { return *storage_; }
+
+ private:
+  std::shared_ptr<const LoweredPlan> lowered_;
+  std::unique_ptr<PlanStorage> storage_;
+};
+
+}  // namespace
+
 RunReport execute_plan_with_scheduler(TileMatrix& a, const TilePlan& plan,
                                       const Platform& calibration,
                                       Scheduler& sched, int num_threads,
@@ -79,11 +149,10 @@ RunReport execute_plan_with_scheduler(TileMatrix& a, const TilePlan& plan,
     throw std::invalid_argument(
         "execute_plan_with_scheduler: calibration platform must model "
         "exactly num_threads workers");
-  PlanLayout layout;
-  const TaskGraph g = build_cholesky_dag_plan(plan, &layout);
-  PlanStorage storage(layout);
+  PlanLease lease(plan);
+  PlanStorage& storage = lease.storage();
   storage.import_from(a);
-  RunEngine engine(g, calibration, sched, opt);
+  RunEngine engine(lease.graph(), calibration, sched, opt);
   PlanComputeBackend backend(storage);
   RunReport report = engine.run(backend);
   // A failed run leaves `a` at its input contents: the plan blocks hold a

@@ -11,10 +11,11 @@ namespace hetsched {
 void PlanComputeBackend::on_drive_start(RunEngine& engine) {
   cache_ = kernels::resolve_pack_cache(engine.options().pack_cache);
   if (cache_ == nullptr) return;
-  // Plan blocks reuse addresses across runs just like tiles do; orphan
-  // panels cached for a previous occupant before the first lookup.
+  // Plan blocks reuse addresses across runs just like tiles do (a reused
+  // PlanStorage keeps the very same ones); orphan panels cached for a
+  // previous occupant before the first lookup.
   for (int h = 0; h < storage_.layout().num_handles(); ++h)
-    cache_->bump_epoch(storage_.block(h));
+    if (const double* b = storage_.block(h)) cache_->bump_epoch(b);
   cache_baseline_ = cache_->stats();
 }
 

@@ -1,8 +1,8 @@
 // TilePlan: text round-trip and validation, the uniform base-level
 // early-return's graph identity with the classic builder, mixed-plan DAG
-// structure (SPLIT/MERGE repacks, per-task nb stamps), numeric
-// correctness of the plan executor against the sequential reference, and
-// the auto-tuner's never-worse-than-uniform guarantee.
+// structure (SPLIT/MERGE repacks, per-task nb stamps), and the
+// auto-tuner's never-worse-than-uniform guarantee. The plan executor is
+// tested in test_plan_executor.cpp.
 #include "core/tile_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -11,10 +11,6 @@
 #include <vector>
 
 #include "core/cholesky_dag.hpp"
-#include "core/dense_matrix.hpp"
-#include "core/tile_matrix.hpp"
-#include "core/tiled_cholesky.hpp"
-#include "exec/plan_executor.hpp"
 #include "partition/auto_tune.hpp"
 #include "sched/scheduler_registry.hpp"
 #include "sim/simulator.hpp"
@@ -23,18 +19,7 @@
 namespace hetsched {
 namespace {
 
-/// A plan that mixes three granularities: base panels, a level-1 trailing
-/// submatrix, one level-2 corner cell, and a fine diagonal cell whose
-/// coarse column consumers force MERGE views (the trailing splits force
-/// SPLIT views).
-TilePlan mixed_plan(int n_tiles, int base_nb) {
-  TilePlan plan = TilePlan::uniform(n_tiles, base_nb);
-  for (int i = 2; i < n_tiles; ++i)
-    for (int j = 2; j <= i; ++j) plan.set_level(i, j, 1);
-  plan.set_level(n_tiles - 1, n_tiles - 1, 2);
-  plan.set_level(1, 1, 1);
-  return plan;
-}
+using testutil::mixed_plan;
 
 TEST(TilePlan, TextRoundTrip) {
   const TilePlan plan = mixed_plan(4, 32);
@@ -149,56 +134,6 @@ TEST(TilePlan, UniformPlanSimulatesBitForBitLikeClassic) {
   const auto s2 = sched::make_scheduler("dmdas", planned, p);
   EXPECT_EQ(simulate(classic, p, *s1).makespan_s,
             simulate(planned, p, *s2).makespan_s);
-}
-
-struct PlanExecCase {
-  int n_tiles;
-  int base_nb;
-  int level;  ///< -1 = the mixed_plan fixture, else a uniform level
-};
-
-class PlanExecutorSweep : public ::testing::TestWithParam<PlanExecCase> {};
-
-// The real-execution acceptance bar: factorizing through the plan
-// executor (PlanStorage blocks, SPLIT/MERGE repacks, per-region pack
-// geometry) matches the sequential tiled reference.
-TEST_P(PlanExecutorSweep, MatchesSequentialReference) {
-  const auto [n, nb, level] = GetParam();
-  const TilePlan plan =
-      level < 0 ? mixed_plan(n, nb) : TilePlan::uniform(n, nb, level);
-  ASSERT_EQ(plan.validate(), "");
-
-  const DenseMatrix a = DenseMatrix::random_spd(n * nb, 31);
-  TileMatrix ref = TileMatrix::from_dense(a, n, nb);
-  ASSERT_TRUE(tiled_cholesky_sequential(ref));
-
-  TileMatrix m = TileMatrix::from_dense(a, n, nb);
-  ExecOptions opt;
-  opt.num_threads = 3;
-  opt.record_trace = false;
-  const RunReport rep = execute_plan_parallel(m, plan, opt);
-  ASSERT_TRUE(rep.success) << rep.error;
-  EXPECT_LT(DenseMatrix::max_abs_diff_lower(ref.to_dense(), m.to_dense()),
-            1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Plans, PlanExecutorSweep,
-                         ::testing::Values(PlanExecCase{4, 32, -1},
-                                           PlanExecCase{3, 32, 1},
-                                           PlanExecCase{2, 32, 2},
-                                           PlanExecCase{5, 16, -1},
-                                           PlanExecCase{4, 24, 1}));
-
-TEST(PlanExecutor, NonSpdFailureLeavesInputUntouched) {
-  const int n = 3, nb = 16;
-  DenseMatrix zero(n * nb, n * nb);  // not positive definite
-  TileMatrix m = TileMatrix::from_dense(zero, n, nb);
-  ExecOptions opt;
-  opt.num_threads = 2;
-  opt.record_trace = false;
-  const RunReport rep = execute_plan_parallel(m, mixed_plan(n, nb), opt);
-  EXPECT_FALSE(rep.success);
-  EXPECT_LT(DenseMatrix::max_abs_diff_lower(zero, m.to_dense()), 1e-300);
 }
 
 TEST(AutoTune, NeverWorseThanBestUniformAndReproducible) {

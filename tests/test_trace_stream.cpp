@@ -2,13 +2,15 @@
 // JSONL event set must equal the post-run RunReport trace event-for-event,
 // on both the DES and the wall-clock emulation backend (the acceptance
 // bar of the observability layer); a fault-injected run streamed through
-// the MetricsAggregator must reproduce the report's FaultStats exactly;
-// and an undersized ring must surface its losses as
-// RunReport::dropped_events rather than blocking or lying.
+// the MetricsAggregator must reproduce the report's FaultStats exactly,
+// and its periodic report line must parse; and an undersized ring must
+// surface its losses as RunReport::dropped_events rather than blocking or
+// lying.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -149,6 +151,44 @@ TEST(TraceStream, MetricsAggregatorReproducesFaultStats) {
   // hair past it on a trailing non-compute event.
   EXPECT_GT(s.makespan_s, 0.0);
   EXPECT_LE(s.makespan_s, r.makespan_s + 1e-12);
+}
+
+// The periodic report line must render every field from its own argument:
+// with named bounds and fault events present, faults= and pack= read the
+// tallies, not a shifted vararg.
+TEST(TraceStream, MetricsReportLineWithFaultsParses) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  obs::MetricsAggregator metrics;
+  metrics.set_reference_bounds({{"mixed", 0.5}});
+  metrics.set_report(f, 1e9);
+  using obs::FaultEventKind;
+  using obs::TraceEvent;
+  metrics.on_event(0, TraceEvent::compute(0, 0, Kernel::POTRF, 0.0, 1.0));
+  metrics.on_event(1, TraceEvent::fault_event(FaultEventKind::WorkerDeath,
+                                              0.5, 0));
+  metrics.on_event(2, TraceEvent::fault_event(
+                          FaultEventKind::TransientFailure, 0.6, 1));
+  metrics.flush();
+
+  std::rewind(f);
+  std::string last;
+  char buf[512];
+  while (std::fgets(buf, sizeof(buf), f) != nullptr) last = buf;
+  std::fclose(f);
+  const auto at = last.find("faults=");
+  ASSERT_NE(at, std::string::npos) << last;
+  unsigned long long faults = 0, hits = 0, misses = 0;
+  ASSERT_EQ(std::sscanf(last.c_str() + at, "faults=%llu pack=%llu/%llu",
+                        &faults, &hits, &misses),
+            3)
+      << last;
+  EXPECT_EQ(faults, 2u);
+  EXPECT_EQ(hits, 0u);
+  EXPECT_EQ(misses, 0u);
+  EXPECT_NE(last.find("bound_ratio=0.000 bounds=mixed:2.000 faults="),
+            std::string::npos)
+      << last;
 }
 
 // A sink this slow behind rings this small cannot keep up with a DES run:

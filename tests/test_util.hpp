@@ -1,10 +1,11 @@
-// Shared helpers for the test suite: tiny deterministic platforms and
-// graphs with hand-computable schedules.
+// Shared helpers for the test suite: tiny deterministic platforms, graphs
+// with hand-computable schedules, and a mixed-granularity TilePlan.
 #pragma once
 
 #include <vector>
 
 #include "core/task_graph.hpp"
+#include "core/tile_plan.hpp"
 #include "platform/calibration.hpp"
 #include "platform/platform.hpp"
 
@@ -62,6 +63,19 @@ inline TaskGraph fork_join(int width) {
   const int sink = g.add_task(Kernel::SYRK, 0, -1, 1, 1.0);
   for (const int m : mids) g.add_edge(m, sink);
   return g;
+}
+
+/// A plan that mixes three granularities: base panels, a level-1 trailing
+/// submatrix, one level-2 corner cell, and a fine diagonal cell whose
+/// coarse column consumers force MERGE views (the trailing splits force
+/// SPLIT views).
+inline TilePlan mixed_plan(int n_tiles, int base_nb) {
+  TilePlan plan = TilePlan::uniform(n_tiles, base_nb);
+  for (int i = 2; i < n_tiles; ++i)
+    for (int j = 2; j <= i; ++j) plan.set_level(i, j, 1);
+  plan.set_level(n_tiles - 1, n_tiles - 1, 2);
+  plan.set_level(1, 1, 1);
+  return plan;
 }
 
 }  // namespace hetsched::testutil
