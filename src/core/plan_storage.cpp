@@ -21,7 +21,6 @@ PlanStorage::PlanStorage(const PlanLayout& layout) : layout_(layout) {
   if (layout_.n_tiles <= 0 || layout_.base_nb <= 0 ||
       nh < static_cast<std::size_t>(num_lower_tiles(layout_.n_tiles)))
     throw std::invalid_argument("PlanStorage: empty or inconsistent layout");
-  offset_.resize(nh);
   canonical_.assign(nh, 0);
   // A cell's canonical granularity is the smallest non-view block side
   // registered for it: an unsplit cell has only its classic base handle,
@@ -35,6 +34,8 @@ PlanStorage::PlanStorage(const PlanLayout& layout) : layout_(layout) {
           tile_linear_index(h.cell_i, h.cell_j))];
       nb = std::min(nb, h.nb);
     }
+  constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> offset(nh);
   std::size_t total = 0;
   for (std::size_t i = 0; i < nh; ++i) {
     const PlanHandle& h = layout_.handles[i];
@@ -48,26 +49,45 @@ PlanStorage::PlanStorage(const PlanLayout& layout) : layout_(layout) {
     // A split cell's base handle is neither canonical nor a view: no task
     // accesses it, so it gets no block.
     if (!h.view && !canonical_[i]) {
-      offset_[i] = kNoBlock;
+      offset[i] = kNoBlock;
       continue;
     }
-    offset_[i] = total;
+    offset[i] = total;
     total += to_size(h.nb) * to_size(h.nb);
   }
   data_.assign(total, 0.0);
+  blocks_.resize(nh);
+  for (std::size_t i = 0; i < nh; ++i)
+    blocks_[i] = offset[i] == kNoBlock ? nullptr : data_.data() + offset[i];
 }
 
-double* PlanStorage::block(int handle) {
-  const std::size_t off = offset_[to_size(handle)];
-  return off == kNoBlock ? nullptr : data_.data() + off;
-}
-
-const double* PlanStorage::block(int handle) const {
-  const std::size_t off = offset_[to_size(handle)];
-  return off == kNoBlock ? nullptr : data_.data() + off;
+PlanStorage::PlanStorage(const std::vector<TileMatrix*>& mats)
+    : borrowed_(true) {
+  if (mats.empty() || mats.front() == nullptr)
+    throw std::invalid_argument("PlanStorage: no matrix to borrow");
+  const int n = mats.front()->n_tiles();
+  const int nb = mats.front()->nb();
+  const int per = num_lower_tiles(n);
+  layout_.n_tiles = n;
+  layout_.base_nb = nb;
+  layout_.handles.reserve(mats.size() * to_size(per));
+  blocks_.reserve(mats.size() * to_size(per));
+  for (TileMatrix* m : mats) {
+    if (m == nullptr || m->n_tiles() != n || m->nb() != nb)
+      throw std::invalid_argument(
+          "PlanStorage: borrowed matrices differ in shape");
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j <= i; ++j) {
+        layout_.handles.push_back(PlanHandle{i, j, 0, 0, nb, false});
+        blocks_.push_back(m->tile(i, j));
+      }
+  }
+  canonical_.assign(blocks_.size(), 1);
 }
 
 void PlanStorage::import_from(const TileMatrix& a) {
+  if (borrowed_)
+    throw std::logic_error("PlanStorage::import_from: borrowing store");
   if (a.n_tiles() != layout_.n_tiles || a.nb() != layout_.base_nb)
     throw std::invalid_argument("PlanStorage::import_from: shape mismatch");
   const int base = layout_.base_nb;
@@ -75,7 +95,7 @@ void PlanStorage::import_from(const TileMatrix& a) {
     if (!canonical_[i]) continue;
     const PlanHandle& h = layout_.handles[i];
     const double* src = a.tile(h.cell_i, h.cell_j);
-    double* dst = data_.data() + offset_[i];
+    double* dst = blocks_[i];
     for (int c = 0; c < h.nb; ++c)
       std::memcpy(dst + to_size(c) * to_size(h.nb),
                   src + to_size(h.col0 + c) * to_size(base) + to_size(h.row0),
@@ -84,6 +104,8 @@ void PlanStorage::import_from(const TileMatrix& a) {
 }
 
 void PlanStorage::export_to(TileMatrix& a) const {
+  if (borrowed_)
+    throw std::logic_error("PlanStorage::export_to: borrowing store");
   if (a.n_tiles() != layout_.n_tiles || a.nb() != layout_.base_nb)
     throw std::invalid_argument("PlanStorage::export_to: shape mismatch");
   const int base = layout_.base_nb;
@@ -91,7 +113,7 @@ void PlanStorage::export_to(TileMatrix& a) const {
     if (!canonical_[i]) continue;
     const PlanHandle& h = layout_.handles[i];
     double* dst = a.tile(h.cell_i, h.cell_j);
-    const double* src = data_.data() + offset_[i];
+    const double* src = blocks_[i];
     for (int c = 0; c < h.nb; ++c)
       std::memcpy(dst + to_size(h.col0 + c) * to_size(base) + to_size(h.row0),
                   src + to_size(c) * to_size(h.nb),

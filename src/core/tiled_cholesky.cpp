@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/kernels.hpp"
-#include "core/numeric_error.hpp"
 
 namespace hetsched {
 
@@ -27,25 +26,6 @@ bool execute_task(TileMatrix& a, const Task& t) {
       // (see lu_dag.hpp / qr_dag.hpp), never through the Cholesky path.
       throw std::logic_error("execute_task: non-Cholesky kernel " +
                              std::string(to_string(t.kernel)));
-  }
-}
-
-void execute_task_checked(TileMatrix& a, const Task& t) {
-  if (t.kernel == Kernel::POTRF) {
-    const int info = kernels::potrf_info(a.nb(), a.tile(t.k, t.k), a.nb());
-    if (info != 0) throw NumericError(Kernel::POTRF, t.k, t.k, info);
-    return;
-  }
-  (void)execute_task(a, t);
-}
-
-double* task_output_tile(TileMatrix& a, const Task& t) {
-  switch (t.kernel) {
-    case Kernel::POTRF: return a.tile(t.k, t.k);
-    case Kernel::TRSM: return a.tile(t.i, t.k);
-    case Kernel::SYRK: return a.tile(t.j, t.j);
-    case Kernel::GEMM: return a.tile(t.i, t.j);
-    default: return nullptr;
   }
 }
 

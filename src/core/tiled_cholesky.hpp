@@ -1,5 +1,7 @@
-// Numeric tiled Cholesky: sequential driver and the task -> kernel dispatch
-// shared with the parallel real-execution runtime (src/exec).
+// Numeric tiled Cholesky: the sequential reference routine and a per-task
+// dispatch on TileMatrix coordinates, which the tests compare the parallel
+// runtime against (the runtime itself dispatches through
+// execute_plan_task_checked on a PlanStorage).
 #pragma once
 
 #include "core/task_graph.hpp"
@@ -7,20 +9,10 @@
 
 namespace hetsched {
 
-/// Executes one DAG task numerically on the tiles of `a`.
-/// Returns false only for POTRF on a non-SPD diagonal tile.
+/// Executes one DAG task numerically on the tiles of `a`, addressed by the
+/// task's (k, i, j). Returns false only for POTRF on a non-SPD diagonal
+/// tile.
 bool execute_task(TileMatrix& a, const Task& t);
-
-/// Like execute_task(), but a POTRF failure throws NumericError (see
-/// core/numeric_error.hpp) carrying the tile coordinates and failing pivot
-/// index -- the structured form the parallel executors propagate so a
-/// non-SPD input aborts deterministically instead of racing NaNs.
-void execute_task_checked(TileMatrix& a, const Task& t);
-
-/// The tile a Cholesky task writes (POTRF -> (k,k), TRSM -> (i,k),
-/// SYRK -> (j,j), GEMM -> (i,j)), or nullptr for non-Cholesky kernels.
-/// The compute backend bumps this tile's pack-cache epoch after the task.
-double* task_output_tile(TileMatrix& a, const Task& t);
 
 /// Sequential tiled Cholesky (Algorithm 1): factorizes `a` in place into its
 /// lower Cholesky factor. Returns false if the matrix is not positive

@@ -3,8 +3,9 @@
 // runs. A pool of worker threads drains a priority-ordered ready queue
 // (priorities default to submission order); dependencies are released as
 // tasks complete, exactly like the simulated runtime but on real data.
-// Since the runtime unification this is a thin wrapper: a RunEngine driving
-// the ComputeBackend under a CentralPriorityScheduler (see docs/runtime.md).
+// Since the runtime unification this is a thin wrapper: it forwards to
+// execute_with_scheduler under a homogeneous calibration and a
+// CentralPriorityScheduler (see docs/runtime.md).
 //
 // Heterogeneous "actual" curves of the paper require GPUs we do not have;
 // those are emulated in the simulator (see DESIGN.md substitution table).

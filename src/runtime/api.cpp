@@ -1,8 +1,10 @@
-// The four public entry points, each a thin wrapper: construct a
-// RunEngine, pick a Backend, run. Argument validation that predates the
-// engine (thread counts, time scale, calibration shape) stays here so the
-// original error messages survive. The plan executor also keeps the last
-// plan's lowered graph and one idle PlanStorage across calls.
+// The public entry points, each a thin wrapper: construct a RunEngine,
+// pick a Backend, run. Both numeric routes drive the one ComputeBackend,
+// over the caller's tiles or a TilePlan's own blocks, and the two
+// thread-pool variants forward to them. Argument validation that predates
+// the engine (thread counts, time scale, calibration shape) stays here so
+// the original error messages survive. The plan executor also keeps the
+// last plan's lowered graph and one idle PlanStorage across calls.
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -14,7 +16,6 @@
 #include "platform/calibration.hpp"
 #include "runtime/des_backend.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/plan_backend.hpp"
 #include "runtime/threaded_backend.hpp"
 #include "sched/priority_sched.hpp"
 #include "sim/simulator.hpp"
@@ -38,19 +39,10 @@ RunReport execute_with_scheduler(TileMatrix& a, const TaskGraph& g,
         "execute_with_scheduler: calibration platform must model exactly "
         "num_threads workers (policies may queue tasks on any modeled "
         "worker)");
+  PlanStorage blocks({&a});
   RunEngine engine(g, calibration, sched, opt);
-  ComputeBackend backend(a);
+  ComputeBackend backend(blocks);
   return engine.run(backend);
-}
-
-RunReport execute_with_scheduler(TileMatrix& a, const TaskGraph& g,
-                                 const Platform& calibration, Scheduler& sched,
-                                 int num_threads, bool record_trace,
-                                 const FaultPlan& faults) {
-  RunOptions opt;
-  opt.record_trace = record_trace;
-  opt.faults = faults;
-  return execute_with_scheduler(a, g, calibration, sched, num_threads, opt);
 }
 
 RunReport emulate_with_scheduler(const TaskGraph& g,
@@ -63,17 +55,18 @@ RunReport emulate_with_scheduler(const TaskGraph& g,
   return engine.run(backend);
 }
 
-RunReport emulate_with_scheduler(const TaskGraph& g,
-                                 const Platform& calibration, Scheduler& sched,
-                                 double time_scale, bool record_trace,
-                                 const FaultPlan& faults) {
-  RunOptions opt;
-  opt.record_trace = record_trace;
-  opt.faults = faults;
-  return emulate_with_scheduler(g, calibration, sched, time_scale, opt);
-}
-
 namespace {
+
+/// The run options of the thread-pool entry points, which pair them with
+/// a homogeneous calibration sized to the pool (every kernel calibrated)
+/// and the historical central priority queue.
+RunOptions pool_options(const ExecOptions& opt) {
+  RunOptions ropt;
+  ropt.record_trace = opt.record_trace;
+  ropt.pack_cache = opt.pack_cache;
+  ropt.cancel = opt.cancel;
+  return ropt;
+}
 
 /// The lowering of one TilePlan: its graph and the handle directory its
 /// storage is laid out by. Immutable once built, so calls share it.
@@ -153,7 +146,7 @@ RunReport execute_plan_with_scheduler(TileMatrix& a, const TilePlan& plan,
   PlanStorage& storage = lease.storage();
   storage.import_from(a);
   RunEngine engine(lease.graph(), calibration, sched, opt);
-  PlanComputeBackend backend(storage);
+  ComputeBackend backend(storage);
   RunReport report = engine.run(backend);
   // A failed run leaves `a` at its input contents: the plan blocks hold a
   // partial factorization nothing downstream should consume.
@@ -167,30 +160,18 @@ RunReport execute_plan_parallel(TileMatrix& a, const TilePlan& plan,
     throw std::invalid_argument("execute_plan_parallel: num_threads <= 0");
   const Platform calibration = homogeneous_platform(opt.num_threads);
   CentralPriorityScheduler sched(opt.priorities);
-  RunOptions ropt;
-  ropt.record_trace = opt.record_trace;
-  ropt.pack_cache = opt.pack_cache;
-  ropt.cancel = opt.cancel;
   return execute_plan_with_scheduler(a, plan, calibration, sched,
-                                     opt.num_threads, ropt);
+                                     opt.num_threads, pool_options(opt));
 }
 
 RunReport execute_parallel(TileMatrix& a, const TaskGraph& g,
                            const ExecOptions& opt) {
   if (opt.num_threads <= 0)
     throw std::invalid_argument("execute_parallel: num_threads <= 0");
-  // A homogeneous calibration sized to the pool keeps the scheduler
-  // contract satisfied for any graph (all kernels calibrated); the central
-  // priority queue reproduces the historical thread-pool discipline.
   const Platform calibration = homogeneous_platform(opt.num_threads);
   CentralPriorityScheduler sched(opt.priorities);
-  RunOptions ropt;
-  ropt.record_trace = opt.record_trace;
-  ropt.pack_cache = opt.pack_cache;
-  ropt.cancel = opt.cancel;
-  RunEngine engine(g, calibration, sched, ropt);
-  ComputeBackend backend(a);
-  return engine.run(backend);
+  return execute_with_scheduler(a, g, calibration, sched, opt.num_threads,
+                                pool_options(opt));
 }
 
 }  // namespace hetsched

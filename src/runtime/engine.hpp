@@ -3,9 +3,11 @@
 // One engine instance owns one run: it validates the (graph, platform,
 // fault plan) triple, seeds the task lifecycle, hands control to a Backend
 // (virtual-clock DES, wall-clock compute, wall-clock emulation) and
-// assembles the RunReport. The public entry points `simulate`,
-// `execute_with_scheduler`, `emulate_with_scheduler` and
-// `execute_parallel` are thin wrappers over this class (runtime/api.cpp).
+// assembles the RunReport. The public entry points in runtime/api.cpp
+// (`simulate`, `emulate_with_scheduler`, `execute_with_scheduler`,
+// `execute_plan_with_scheduler` and the two thread-pool forwarders) are
+// thin wrappers over this class; the serving layer drives it directly
+// with a serve::BatchComputeBackend.
 #pragma once
 
 #include "core/task_graph.hpp"

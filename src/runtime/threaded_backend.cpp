@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "core/numeric_error.hpp"
-#include "core/tiled_cholesky.hpp"
 #include "kernels/pack_coop.hpp"
+#include "kernels/pack_geometry.hpp"
 #include "kernels/scratch.hpp"
 #include "obs/event.hpp"
 #include "obs/stream.hpp"
@@ -252,10 +252,46 @@ void ThreadedBackend::drive(RunEngine& engine) {
     return true;
   };
 
+  // Injects the planned deaths due by `now_tp` (the fault service lane
+  // emits their events).
+  const auto inject_due_deaths = [&](Clock::time_point now_tp) {
+    while (fr->next_death < fr->deaths.size()) {
+      const WorkerDeath& d = fr->deaths[fr->next_death];
+      if (t0 + to_duration(d.time_s) > now_tp) break;
+      ++fr->next_death;
+      if (fr->dead[static_cast<std::size_t>(d.worker)] != 0) continue;
+      fr->dead[static_cast<std::size_t>(d.worker)] = 1;
+      host.set_dead(d.worker);
+      --fr->alive;
+      ++fr->stats.worker_deaths;
+      fr->stats.degraded = true;
+      if (stream)
+        stream->emit(num_threads, obs::TraceEvent::fault_event(
+                                      obs::FaultEventKind::WorkerDeath,
+                                      host.now(), d.worker));
+      auto& run = fr->running[static_cast<std::size_t>(d.worker)];
+      if (run.task >= 0 && run.cancel) run.cancel->store(true);
+      for (const int t : sched.on_worker_dead(host, d.worker)) {
+        ++fr->stats.tasks_requeued;
+        if (stream)
+          stream->emit(num_threads, obs::TraceEvent::fault_event(
+                                        obs::FaultEventKind::TaskRequeued,
+                                        host.now(), d.worker, t));
+        push_ready(t);
+      }
+      if (fr->alive == 0 && !lifecycle.all_done())
+        fail_run("every worker died before completion", RunErrorKind::Fault);
+      cv_work.notify_all();
+    }
+  };
+
   {
     std::lock_guard<std::mutex> lock(mu);
     sched.initialize(host);
     lifecycle.seed(sched, host);
+    // Deaths planned at (or before) the start land before any worker can
+    // pop: left to the service thread, they would race the pool.
+    if (fr) inject_due_deaths(Clock::now());
   }
 
   kernels::ScratchPool scratch_pool(num_threads);
@@ -436,36 +472,7 @@ void ThreadedBackend::drive(RunEngine& engine) {
     for (;;) {
       if (fr->stop_service || failed.load()) return;
       const auto now_tp = Clock::now();
-      // Planned deaths due now.
-      while (fr->next_death < fr->deaths.size()) {
-        const WorkerDeath& d = fr->deaths[fr->next_death];
-        if (t0 + to_duration(d.time_s) > now_tp) break;
-        ++fr->next_death;
-        if (fr->dead[static_cast<std::size_t>(d.worker)] != 0) continue;
-        fr->dead[static_cast<std::size_t>(d.worker)] = 1;
-        host.set_dead(d.worker);
-        --fr->alive;
-        ++fr->stats.worker_deaths;
-        fr->stats.degraded = true;
-        if (stream)
-          stream->emit(num_threads, obs::TraceEvent::fault_event(
-                                        obs::FaultEventKind::WorkerDeath,
-                                        host.now(), d.worker));
-        auto& run = fr->running[static_cast<std::size_t>(d.worker)];
-        if (run.task >= 0 && run.cancel) run.cancel->store(true);
-        for (const int t : sched.on_worker_dead(host, d.worker)) {
-          ++fr->stats.tasks_requeued;
-          if (stream)
-            stream->emit(num_threads, obs::TraceEvent::fault_event(
-                                          obs::FaultEventKind::TaskRequeued,
-                                          host.now(), d.worker, t));
-          push_ready(t);
-        }
-        if (fr->alive == 0 && !lifecycle.all_done())
-          fail_run("every worker died before completion",
-                   RunErrorKind::Fault);
-        cv_work.notify_all();
-      }
+      inject_due_deaths(now_tp);
       // Backed-off retries due now.
       for (std::size_t i = 0; i < fr->delayed.size();) {
         if (fr->delayed[i].when <= now_tp) {
@@ -555,11 +562,12 @@ void ThreadedBackend::drive(RunEngine& engine) {
 void ComputeBackend::on_drive_start(RunEngine& engine) {
   cache_ = kernels::resolve_pack_cache(engine.options().pack_cache);
   if (cache_ == nullptr) return;
-  // Tile buffers routinely reuse freed addresses across matrices, so
-  // orphan any panel cached for a previous occupant of this memory before
-  // the first lookup of the run.
-  for (int i = 0; i < a_.n_tiles(); ++i)
-    for (int j = 0; j <= i; ++j) cache_->bump_epoch(a_.tile(i, j));
+  // Blocks routinely reuse addresses across runs (freed tiles land on
+  // recycled heap memory; a reused PlanStorage keeps the very same ones),
+  // so orphan any panel cached for a previous occupant before the first
+  // lookup of the run.
+  for (int h = 0; h < blocks_.layout().num_handles(); ++h)
+    if (const double* b = blocks_.block(h)) cache_->bump_epoch(b);
   cache_baseline_ = cache_->stats();
 }
 
@@ -579,22 +587,30 @@ void ComputeBackend::on_drive_end(RunEngine& engine) {
 bool ComputeBackend::run_task(RunEngine& engine, int, int task,
                               const std::atomic<bool>*, std::string* error) {
   const Task& t = engine.graph().task(task);
-  // Consult the pack cache for this attempt's operand tiles. The DAG
-  // guarantees no concurrent writer of a tile being read, so a panel
+  // Consult the pack cache for this attempt's operand blocks. The DAG
+  // guarantees no concurrent writer of a block being read, so a panel
   // packed under the epoch observed here stays valid for the whole task.
   kernels::PackCacheBinding cache_binding(cache_);
+  // Region-sized blocking for this attempt: a 240-wide subtile packs
+  // 240-deep panels, not the global full-tile geometry. The binding is
+  // thread-local, so concurrent workers at other granularities keep their
+  // own; on a uniform tile the clamp packs the global geometry's panels.
+  kernels::PackGeometryBinding geometry(kernels::resolve_pack_geometry(
+      t.nb > 0 ? t.nb : blocks_.layout().base_nb));
   // Numeric failures (non-SPD pivots) abort deterministically with the
   // tile coordinates and pivot of the first offending POTRF.
   try {
-    execute_task_checked(a_, t);
+    execute_plan_task_checked(blocks_, t);
   } catch (const NumericError& e) {
     *error = e.what();
     return false;
   }
-  // The write is done (and mark_done not yet published): stale panels of
-  // the output tile stop matching before any dependent task can look up.
+  // The writes are done (and mark_done not yet published): stale panels
+  // of every written block stop matching before any dependent task can
+  // look up.
   if (cache_ != nullptr)
-    if (double* out = task_output_tile(a_, t)) cache_->bump_epoch(out);
+    for (const TaskAccess& a : t.accesses)
+      if (a.mode != AccessMode::Read) cache_->bump_epoch(blocks_.block(a.tile));
   return true;
 }
 

@@ -1,9 +1,11 @@
 // Wall-clock backends: a thread pool of one OS thread per modeled worker,
 // driven by the same Scheduler/TaskLifecycle machinery as the DES backend.
 //
-// Two concrete substrates share one drive loop:
-//  - ComputeBackend runs the numeric kernels on real tiles (the "actual
-//    execution" curves of the paper, homogeneous CPU only);
+// Two substrates share one drive loop:
+//  - ComputeBackend, the one numeric backend, runs the kernels on the
+//    blocks of a PlanStorage: tile matrices, TilePlans and serving
+//    batches alike (the "actual execution" curves of the paper,
+//    homogeneous CPU only);
 //  - EmulationBackend sleeps each task's calibrated duration scaled by
 //    `time_scale` (heterogeneous platforms without the hardware), with
 //    cancellable attempts so the fault watchdog can abort overruns.
@@ -16,7 +18,7 @@
 #include <atomic>
 #include <string>
 
-#include "core/tile_matrix.hpp"
+#include "core/plan_storage.hpp"
 #include "kernels/pack_cache.hpp"
 #include "runtime/backend.hpp"
 
@@ -48,10 +50,11 @@ class ThreadedBackend : public Backend {
   virtual double makespan_from(double elapsed_s) const = 0;
 };
 
-/// Executes the numeric kernels on the tiles of `a` (factorized in place).
-class ComputeBackend final : public ThreadedBackend {
+/// Executes the numeric kernels on the blocks of `blocks` (factorized in
+/// place).
+class ComputeBackend : public ThreadedBackend {
  public:
-  explicit ComputeBackend(TileMatrix& a) : a_(a) {}
+  explicit ComputeBackend(PlanStorage& blocks) : blocks_(blocks) {}
   const char* name() const override { return "compute"; }
   const char* error_prefix() const override { return "scheduled executor"; }
 
@@ -64,7 +67,7 @@ class ComputeBackend final : public ThreadedBackend {
   double makespan_from(double elapsed_s) const override { return elapsed_s; }
 
  private:
-  TileMatrix& a_;
+  PlanStorage& blocks_;
   /// Resolved per run from RunOptions::pack_cache (nullptr = disabled).
   kernels::PackedTileCache* cache_ = nullptr;
   kernels::PackCacheStats cache_baseline_;

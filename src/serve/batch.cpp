@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "core/cholesky_dag.hpp"
-#include "core/numeric_error.hpp"
-#include "core/tiled_cholesky.hpp"
 #include "runtime/engine.hpp"
 
 namespace hetsched::serve {
@@ -19,10 +17,10 @@ BatchPlan build_batch_plan(int jobs, int tiles, int nb) {
   plan.job_of.reserve(
       static_cast<std::size_t>(jobs) *
       static_cast<std::size_t>(base.num_tasks()));
-  // Tile handles are offset by a per-job stride so the fused graph's data
-  // footprint stays disjoint across jobs (the compute substrate indexes
-  // tiles through (k, i, j) anyway, but the handles feed the DES data
-  // manager and any tooling that walks accesses).
+  // Tile handles are offset by a per-job stride, so the fused graph's data
+  // footprint stays disjoint across jobs: handle b * stride +
+  // tile_linear_index(r, c) is tile (r, c) of job b, exactly the layout of
+  // a PlanStorage borrowing the batch's matrices in job order.
   const int tile_stride = num_lower_tiles(tiles);
   for (int b = 0; b < jobs; ++b) {
     const int task_off = b * base.num_tasks();
@@ -41,9 +39,9 @@ BatchPlan build_batch_plan(int jobs, int tiles, int nb) {
 }
 
 BatchComputeBackend::BatchComputeBackend(const BatchPlan& plan,
-                                         std::vector<TileMatrix*> mats,
+                                         PlanStorage& blocks,
                                          std::vector<const CancelToken*> tokens)
-    : plan_(plan), mats_(std::move(mats)), tokens_(std::move(tokens)) {
+    : ComputeBackend(blocks), plan_(plan), tokens_(std::move(tokens)) {
   results_.resize(static_cast<std::size_t>(plan_.jobs));
   poisoned_.reserve(static_cast<std::size_t>(plan_.jobs));
   run_counts_.reserve(static_cast<std::size_t>(plan_.jobs));
@@ -66,29 +64,8 @@ void BatchComputeBackend::poison(int job, JobRunOutcome why,
   flag.store(true, std::memory_order_release);
 }
 
-void BatchComputeBackend::on_drive_start(RunEngine& engine) {
-  cache_ = kernels::resolve_pack_cache(engine.options().pack_cache);
-  if (cache_ == nullptr) return;
-  // Fresh matrices routinely land on recycled heap addresses; orphan any
-  // panel cached for a previous occupant before the first lookup.
-  for (TileMatrix* m : mats_)
-    for (int i = 0; i < m->n_tiles(); ++i)
-      for (int j = 0; j <= i; ++j) cache_->bump_epoch(m->tile(i, j));
-  cache_baseline_ = cache_->stats();
-}
-
 void BatchComputeBackend::on_drive_end(RunEngine& engine) {
-  RunReport& res = engine.report();
-  if (cache_ != nullptr) {
-    const kernels::PackCacheStats s = cache_->stats();
-    res.pack_hits = static_cast<std::int64_t>(s.hits - cache_baseline_.hits);
-    res.pack_misses =
-        static_cast<std::int64_t>(s.misses - cache_baseline_.misses);
-    res.pack_evictions =
-        static_cast<std::int64_t>(s.evictions - cache_baseline_.evictions);
-    res.pack_bytes = static_cast<std::int64_t>(s.bytes_packed -
-                                               cache_baseline_.bytes_packed);
-  }
+  ComputeBackend::on_drive_end(engine);
   // Finalize per-job outcomes: a non-poisoned job whose every task ran is
   // kOk; anything else (the batch run aborted under it) stays kIncomplete
   // for the server to retry.
@@ -108,8 +85,8 @@ void BatchComputeBackend::on_drive_end(RunEngine& engine) {
   }
 }
 
-bool BatchComputeBackend::run_task(RunEngine& engine, int /*worker*/, int task,
-                                   const std::atomic<bool>* /*cancel*/,
+bool BatchComputeBackend::run_task(RunEngine& engine, int worker, int task,
+                                   const std::atomic<bool>* cancel,
                                    std::string* /*error*/) {
   const int job = plan_.job_of[static_cast<std::size_t>(task)];
   const auto jz = static_cast<std::size_t>(job);
@@ -131,19 +108,14 @@ bool BatchComputeBackend::run_task(RunEngine& engine, int /*worker*/, int task,
       return true;
     }
   }
-  const Task& t = engine.graph().task(task);
-  TileMatrix& a = *mats_[jz];
-  kernels::PackCacheBinding cache_binding(cache_);
-  try {
-    execute_task_checked(a, t);
-  } catch (const NumericError& e) {
+  std::string numeric_error;
+  if (!ComputeBackend::run_task(engine, worker, task, cancel,
+                                &numeric_error)) {
     // Numeric failure poisons this job only; the batch carries on. The
     // run_task contract's false return would abort every job's work.
-    poison(job, JobRunOutcome::kNumeric, e.what());
+    poison(job, JobRunOutcome::kNumeric, numeric_error);
     return true;
   }
-  if (cache_ != nullptr)
-    if (double* out = task_output_tile(a, t)) cache_->bump_epoch(out);
   run_counts_[jz]->fetch_add(1, std::memory_order_relaxed);
   return true;
 }

@@ -24,9 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "core/plan_storage.hpp"
 #include "core/task_graph.hpp"
-#include "core/tile_matrix.hpp"
-#include "kernels/pack_cache.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/threaded_backend.hpp"
 
@@ -62,18 +61,16 @@ struct BatchJobResult {
   int tasks_skipped = 0; ///< no-op completions after poisoning
 };
 
-/// ThreadedBackend substrate executing a fused batch on real tiles: like
-/// ComputeBackend, but dispatching each task to its job's TileMatrix and
-/// honoring one CancelToken per job. Matrices and tokens are borrowed and
-/// must outlive the run; `tokens[j]` may be null (job without deadline
-/// that cannot be individually cancelled).
-class BatchComputeBackend final : public ThreadedBackend {
+/// The compute backend of a fused batch: ComputeBackend over a borrowing
+/// PlanStorage of the jobs' matrices (job j's tiles are handles j *
+/// num_lower_tiles(tiles) onward, matching build_batch_plan), plus one
+/// CancelToken per job. Storage and tokens are borrowed and must outlive
+/// the run; `tokens[j]` may be null (job without deadline that cannot be
+/// individually cancelled).
+class BatchComputeBackend final : public ComputeBackend {
  public:
-  BatchComputeBackend(const BatchPlan& plan, std::vector<TileMatrix*> mats,
+  BatchComputeBackend(const BatchPlan& plan, PlanStorage& blocks,
                       std::vector<const CancelToken*> tokens);
-
-  const char* name() const override { return "batch-compute"; }
-  const char* error_prefix() const override { return "batch executor"; }
 
   /// Per-job outcomes, valid after the run. Jobs still kIncomplete after
   /// a *successful* run are promoted to kOk by finalize() -- callers use
@@ -82,18 +79,14 @@ class BatchComputeBackend final : public ThreadedBackend {
   const std::vector<BatchJobResult>& results() const { return results_; }
 
  protected:
-  void on_drive_start(RunEngine& engine) override;
   void on_drive_end(RunEngine& engine) override;
-  bool cancellable() const override { return false; }
   bool run_task(RunEngine& engine, int worker, int task,
                 const std::atomic<bool>* cancel, std::string* error) override;
-  double makespan_from(double elapsed_s) const override { return elapsed_s; }
 
  private:
   void poison(int job, JobRunOutcome why, const std::string& err);
 
   const BatchPlan& plan_;
-  std::vector<TileMatrix*> mats_;
   std::vector<const CancelToken*> tokens_;
   /// Lock-free poisoned flag per job (checked on every attempt); the
   /// result record itself is filled once under result_mu_.
@@ -102,8 +95,6 @@ class BatchComputeBackend final : public ThreadedBackend {
   std::vector<std::unique_ptr<std::atomic<int>>> skip_counts_;
   std::mutex result_mu_;
   std::vector<BatchJobResult> results_;
-  kernels::PackedTileCache* cache_ = nullptr;
-  kernels::PackCacheStats cache_baseline_;
 };
 
 }  // namespace hetsched::serve

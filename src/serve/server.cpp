@@ -173,7 +173,8 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
     tokens[static_cast<std::size_t>(i)] =
         &batch[static_cast<std::size_t>(i)]->token;
   }
-  BatchComputeBackend backend(plan, std::move(mat_ptrs), std::move(tokens));
+  PlanStorage blocks(mat_ptrs);
+  BatchComputeBackend backend(plan, blocks, std::move(tokens));
   // Registry-resolved policy per batch (specs are cheap to re-resolve and
   // graph-dependent schedulers need this batch's plan). The default,
   // "priority", is the historical central priority queue in submission

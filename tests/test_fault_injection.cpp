@@ -383,8 +383,10 @@ TEST(FaultInjection, EmulatedTransientFailuresRecover) {
   plan.transient_failure_prob = 0.3;
   plan.seed = 7;
   plan.retry.max_retries = 50;
-  const RunReport r = emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-3,
-                                              /*record_trace=*/true, plan);
+  RunOptions opt;
+  opt.faults = plan;
+  const RunReport r =
+      emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-3, opt);
   EXPECT_TRUE(r.success) << r.error;
   // Every injected failure is absorbed by exactly one retry; equality
   // holds whatever the thread interleaving (and trivially when both are
@@ -399,8 +401,10 @@ TEST(FaultInjection, EmulatedWorkerDeathRecovers) {
   EagerScheduler sched;
   FaultPlan plan;
   plan.deaths.push_back({1, 0.004});  // mid-first-task at time_scale 1e-3
-  const RunReport r = emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-3,
-                                              /*record_trace=*/true, plan);
+  RunOptions opt;
+  opt.faults = plan;
+  const RunReport r =
+      emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-3, opt);
   EXPECT_TRUE(r.success) << r.error;
   EXPECT_EQ(r.faults.worker_deaths, 1);
   EXPECT_TRUE(r.faults.degraded);
@@ -420,12 +424,37 @@ TEST(FaultInjection, EmulatedWatchdogTimeoutExhaustsBudget) {
   // attempt times out and the budget runs dry.
   plan.watchdog_timeout_factor = 1e-4;
   plan.retry.max_retries = 2;
-  const RunReport r = emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-2,
-                                              /*record_trace=*/false, plan);
+  RunOptions opt;
+  opt.record_trace = false;
+  opt.faults = plan;
+  const RunReport r =
+      emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-2, opt);
   EXPECT_FALSE(r.success);
   EXPECT_GT(r.faults.watchdog_timeouts, 0);
   EXPECT_NE(r.error.find("retry budget exhausted"), std::string::npos)
       << r.error;
+}
+
+// ---- Wall-clock compute: deaths planned at the start ----------------------
+
+// A death planned at t = 0 is injected before any worker starts, so it can
+// never lose a race against the pool: with every worker dead at 0.0 no
+// task runs and the run ends as a Fault. Looped to catch a reintroduced
+// race.
+TEST(FaultInjection, DeathsAtTimeZeroPrecedeEveryWorker) {
+  const TaskGraph g = build_cholesky_dag(4, 32);
+  const Platform calib = homogeneous_platform(2);
+  RunOptions opt;
+  opt.faults.deaths.push_back({0, 0.0});
+  opt.faults.deaths.push_back({1, 0.0});
+  for (int iter = 0; iter < 50; ++iter) {
+    TileMatrix a = TileMatrix::synthetic_spd(4, 32, 1);
+    EagerScheduler sched;
+    const RunReport r = execute_with_scheduler(a, g, calib, sched, 2, opt);
+    ASSERT_FALSE(r.success) << "iteration " << iter;
+    EXPECT_EQ(r.error_kind, RunErrorKind::Fault) << "iteration " << iter;
+    EXPECT_TRUE(r.trace.compute().empty()) << "iteration " << iter;
+  }
 }
 
 // ---- Property test: seeded random plans stay valid -------------------------

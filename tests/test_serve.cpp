@@ -167,11 +167,13 @@ struct BatchRun {
   std::vector<BatchJobResult> results;
 };
 
-BatchRun drive_batch(const BatchPlan& plan, std::vector<TileMatrix*> mats,
+BatchRun drive_batch(const BatchPlan& plan,
+                     const std::vector<TileMatrix*>& mats,
                      std::vector<const CancelToken*> tokens, int threads,
                      const FaultPlan& faults = {},
                      CancelToken* batch_cancel = nullptr) {
-  BatchComputeBackend backend(plan, std::move(mats), std::move(tokens));
+  PlanStorage blocks(mats);
+  BatchComputeBackend backend(plan, blocks, std::move(tokens));
   CentralPriorityScheduler sched;
   RunOptions opt;
   opt.record_trace = false;
