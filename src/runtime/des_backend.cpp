@@ -44,6 +44,7 @@ class DesRun final : public SchedulerHost {
         rng_(opt_.noise_seed),
         fault_rng_(opt_.faults.seed) {
     workers_.resize(static_cast<std::size_t>(platform_.num_workers()));
+    active_fetch_.assign(fetch_slot(data_.num_tiles(), 0), -1);
     channels_.resize(static_cast<std::size_t>(
         2 * std::max(0, platform_.num_memory_nodes() - 1)));
     if (opt_.accel_memory_bytes > 0)
@@ -95,20 +96,16 @@ class DesRun final : public SchedulerHost {
   }
 
   double estimated_transfer_seconds(int task, int worker) const override {
-    const int node = platform_.worker(worker).memory_node;
     const BusModel& bus = platform_.bus();
     if (!bus.enabled) return 0.0;
+    const int node = platform_.worker(worker).memory_node;
     double total = 0.0;
-    std::vector<int> seen;
-    for (const TaskAccess& a : graph_.task(task).accesses) {
-      if (data_.valid(a.tile, node)) continue;
-      if (std::find(seen.begin(), seen.end(), a.tile) != seen.end()) continue;
-      seen.push_back(a.tile);
-      if (active_fetch_.count({a.tile, node}) != 0) continue;  // on the way
-      const int src = data_.valid(a.tile, 0) ? 0 : first_valid_node(a.tile);
+    data_.for_each_missing_tile(graph_.task(task), node, [&](int tile) {
+      if (active_fetch_[fetch_slot(tile, node)] >= 0) return;  // on the way
+      const int src = data_.valid(tile, 0) ? 0 : first_valid_node(tile);
       total += static_cast<double>(BusModel::hops(src, node)) *
                bus.transfer_time(data_.tile_bytes());
-    }
+    });
     return total;
   }
 
@@ -164,6 +161,13 @@ class DesRun final : public SchedulerHost {
            sizeof(double);
   }
 
+  // Index of (tile, node) in active_fetch_.
+  std::size_t fetch_slot(int tile, int node) const {
+    return static_cast<std::size_t>(tile) *
+               static_cast<std::size_t>(data_.num_nodes()) +
+           static_cast<std::size_t>(node);
+  }
+
   int first_valid_node(int tile) const {
     for (int m = 0; m < data_.num_nodes(); ++m)
       if (data_.valid(tile, m)) return m;
@@ -194,9 +198,8 @@ class DesRun final : public SchedulerHost {
   // tile is already valid at `node`.
   int ensure_fetch(int tile, int node) {
     if (data_.valid(tile, node)) return -1;
-    const auto key = std::make_pair(tile, node);
-    if (const auto it = active_fetch_.find(key); it != active_fetch_.end())
-      return it->second;
+    int& active = active_fetch_[fetch_slot(tile, node)];
+    if (active >= 0) return active;
     const int src = data_.pick_source(tile, node);
     Fetch f;
     f.tile = tile;
@@ -204,7 +207,7 @@ class DesRun final : public SchedulerHost {
     f.hops_left = BusModel::hops(src, node);
     const int id = static_cast<int>(fetches_.size());
     fetches_.push_back(std::move(f));
-    active_fetch_.emplace(key, id);
+    active = id;
     // First hop: from src. Two-hop fetches start with the d2h leg.
     const int ch = src == 0 ? h2d_channel(node) : d2h_channel(src);
     enqueue_hop(ch, id);
@@ -259,7 +262,7 @@ class DesRun final : public SchedulerHost {
         if (tile_lost(f.tile)) restore_tile(f.tile);
       }
       f.done = true;
-      active_fetch_.erase({f.tile, f.dst});
+      active_fetch_[fetch_slot(f.tile, f.dst)] = -1;
       for (const int w : f.waiting_workers) {
         WorkerState& ws = workers_[static_cast<std::size_t>(w)];
         if (!ws.alive) continue;
@@ -296,10 +299,10 @@ class DesRun final : public SchedulerHost {
   void prefetch_inputs(int task, int worker) {
     const int node = platform_.worker(worker).memory_node;
     if (!platform_.bus().enabled) return;
-    for (const int tile : data_.missing_tiles(graph_.task(task), node)) {
-      if (tile_lost(tile)) continue;  // restored (then fetched) after repair
+    data_.for_each_missing_tile(graph_.task(task), node, [&](int tile) {
+      if (tile_lost(tile)) return;  // restored (then fetched) after repair
       (void)ensure_fetch(tile, node);
-    }
+    });
   }
 
   // Tries to hand a new task to an idle worker; true if one was committed.
@@ -339,17 +342,15 @@ class DesRun final : public SchedulerHost {
         ++w.pending_fetches;
       }
     }
-    const std::vector<int> missing =
-        platform_.bus().enabled
-            ? data_.missing_tiles(graph_.task(task), node)
-            : std::vector<int>{};
-    for (const int tile : missing) {
-      if (tile_lost(tile)) continue;  // counted as a lost-tile wait above
-      const int fid = ensure_fetch(tile, node);
-      if (fid < 0) continue;
-      fetches_[static_cast<std::size_t>(fid)].waiting_workers.push_back(worker);
-      ++w.pending_fetches;
-    }
+    if (platform_.bus().enabled)
+      data_.for_each_missing_tile(graph_.task(task), node, [&](int tile) {
+        if (tile_lost(tile)) return;  // counted as a lost-tile wait above
+        const int fid = ensure_fetch(tile, node);
+        if (fid < 0) return;
+        fetches_[static_cast<std::size_t>(fid)].waiting_workers.push_back(
+            worker);
+        ++w.pending_fetches;
+      });
     if (w.pending_fetches == 0) {
       start_compute(worker);
     } else {
@@ -514,14 +515,11 @@ class DesRun final : public SchedulerHost {
       // bits are on the wire -- same optimism as LRU eviction of fetch
       // sources); the tile reappears at the fetch destination.
       bool on_wire = false;
-      for (const auto& [key, fid] : active_fetch_)
-        if (key.first == t &&
-            !fetches_[static_cast<std::size_t>(fid)].done &&
-            key.second != node &&
-            !node_dead_[static_cast<std::size_t>(key.second)]) {
-          on_wire = true;
-          break;
-        }
+      for (int m = 0; m < data_.num_nodes() && !on_wire; ++m) {
+        const int fid = active_fetch_[fetch_slot(t, m)];
+        on_wire = fid >= 0 && !fetches_[static_cast<std::size_t>(fid)].done &&
+                  m != node && !node_dead_[static_cast<std::size_t>(m)];
+      }
       lost_tiles_.insert(t);
       if (on_wire) continue;
       // Only tiles some unfinished task still reads or writes matter.
@@ -691,7 +689,7 @@ class DesRun final : public SchedulerHost {
   std::vector<Channel> channels_;
   std::vector<int> newly_ready_;  // scratch of on_task_finish
   std::vector<Fetch> fetches_;
-  std::map<std::pair<int, int>, int> active_fetch_;  // (tile, node) -> fetch
+  std::vector<int> active_fetch_;  // tile * nodes + node -> fetch id or -1
   std::int64_t transfer_hops_ = 0;
   std::int64_t evictions_ = 0;
   std::int64_t capacity_overflows_ = 0;

@@ -9,11 +9,18 @@ namespace hetsched {
 
 void DmdaScheduler::initialize(SchedulerHost& host) {
   queues_.assign(static_cast<std::size_t>(host.platform().num_workers()), {});
+  class_time_.assign(static_cast<std::size_t>(host.platform().num_classes()),
+                     0.0);
 }
 
 void DmdaScheduler::on_task_ready(SchedulerHost& host, int task) {
   const Platform& p = host.platform();
   const Task& t = host.graph().task(task);
+
+  // Workers of one class run a task equally fast: price each class once.
+  for (int c = 0; c < p.num_classes(); ++c)
+    class_time_[static_cast<std::size_t>(c)] =
+        p.class_time_at(c, t.kernel, t.nb);
 
   // Minimum-completion-time worker among the admissible ones.
   int best_w = -1;
@@ -26,7 +33,7 @@ void DmdaScheduler::on_task_ready(SchedulerHost& host, int task) {
       if (pass == 0 && opt_.filter && !opt_.filter(t, w)) continue;
       const double ect = std::max(host.expected_available(w.id), host.now()) +
                          host.estimated_transfer_seconds(task, w.id) +
-                         p.worker_time_at(w.id, t.kernel, t.nb);
+                         class_time_[static_cast<std::size_t>(w.cls)];
       if (ect < best_ect) {
         best_ect = ect;
         best_w = w.id;
@@ -37,11 +44,12 @@ void DmdaScheduler::on_task_ready(SchedulerHost& host, int task) {
   auto& q = queues_[static_cast<std::size_t>(best_w)];
   if (opt_.sorted) {
     // Insert keeping the queue sorted by decreasing priority; FIFO among
-    // equal priorities.
+    // equal priorities: the new task goes after every queued task of
+    // priority >= its own, a prefix of the (always sorted) queue.
     const double pr = priority_of(task);
-    auto it = q.begin();
-    while (it != q.end() && priority_of(*it) >= pr) ++it;
-    q.insert(it, task);
+    q.insert(std::partition_point(q.begin(), q.end(),
+                                  [&](int x) { return priority_of(x) >= pr; }),
+             task);
   } else {
     q.push_back(task);
   }

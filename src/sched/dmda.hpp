@@ -59,6 +59,7 @@ class DmdaScheduler : public Scheduler {
 
   Options opt_;
   std::vector<std::deque<int>> queues_;  // per worker
+  std::vector<double> class_time_;  // on_task_ready scratch, per class
 };
 
 /// Convenience factory for the paper's dmdas: bottom-level priorities at

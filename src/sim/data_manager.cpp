@@ -1,6 +1,5 @@
 #include "sim/data_manager.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace hetsched {
@@ -56,16 +55,6 @@ void DataManager::invalidate(int tile, int node) {
 void DataManager::lose_replica(int tile, int node) {
   pin_count_.at(idx(tile, node)) = 0;
   set_valid(tile, node, false);
-}
-
-std::vector<int> DataManager::missing_tiles(const Task& t, int node) const {
-  std::vector<int> out;
-  for (const TaskAccess& a : t.accesses) {
-    if (valid(a.tile, node)) continue;
-    if (std::find(out.begin(), out.end(), a.tile) == out.end())
-      out.push_back(a.tile);
-  }
-  return out;
 }
 
 int DataManager::pick_source(int tile, int dst) const {

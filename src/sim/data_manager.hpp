@@ -47,8 +47,21 @@ class DataManager {
   /// recovery).
   void lose_replica(int tile, int node);
 
-  /// Tiles accessed by `t` that are not valid at `node` (each listed once).
-  std::vector<int> missing_tiles(const Task& t, int node) const;
+  /// Calls f(tile) for each tile accessed by `t` that is not valid at
+  /// `node`, once per tile, in first-access order; allocates nothing. `f`
+  /// must not change which replicas are valid at `node`.
+  template <typename F>
+  void for_each_missing_tile(const Task& t, int node, F&& f) const {
+    const std::vector<TaskAccess>& acc = t.accesses;
+    for (auto a = acc.begin(); a != acc.end(); ++a) {
+      const int tile = a->tile;
+      if (valid(tile, node)) continue;
+      // An earlier access of the same tile was missing too: already seen.
+      bool seen = false;
+      for (auto b = acc.begin(); b != a && !seen; ++b) seen = b->tile == tile;
+      if (!seen) f(tile);
+    }
+  }
 
   /// Picks the source node for fetching `tile` to `dst`: RAM if valid there
   /// (one hop), otherwise the lowest-numbered valid node. Returns -1 if the

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
+#include <vector>
 
 #include "core/cholesky_dag.hpp"
 #include "platform/calibration.hpp"
 #include "sched/dmda.hpp"
 #include "sched/eager_sched.hpp"
+#include "sched/priorities.hpp"
 #include "sched/random_sched.hpp"
 #include "sim/simulator.hpp"
 #include "tests/test_util.hpp"
@@ -123,6 +126,70 @@ TEST(DmdasSched, EqualPrioritiesFallBackToFifo) {
   const RunReport r = simulate(g, tiny_homog(1), sched);
   EXPECT_EQ(r.trace.compute()[0].task, 0);
   EXPECT_EQ(r.trace.compute()[1].task, 1);
+}
+
+/// A frozen runtime: time 0, every worker idle, no transfers. Lets a test
+/// push and pop a scheduler's queues by hand.
+class IdleHost final : public SchedulerHost {
+ public:
+  IdleHost(const TaskGraph& g, const Platform& p) : g_(g), p_(p) {}
+  double now() const override { return 0.0; }
+  const Platform& platform() const override { return p_; }
+  const TaskGraph& graph() const override { return g_; }
+  double expected_available(int) const override { return 0.0; }
+  double estimated_transfer_seconds(int, int) const override { return 0.0; }
+  void note_task_queued(int, int) override {}
+
+ private:
+  const TaskGraph& g_;
+  const Platform& p_;
+};
+
+// The sorted insert must put each task exactly where a linear scan past
+// every queued task of priority >= its own would: descending priorities,
+// FIFO among equal ones, also when pops interleave with pushes.
+TEST(DmdasSched, SortedInsertMatchesLinearScanOrder) {
+  // Isolated tasks: each one's bottom level is its own kernel time on a
+  // single CPU (GEMM 8 > TRSM = SYRK 4 > POTRF 2), so the pushes below mix
+  // ties with strictly descending and ascending runs.
+  const Kernel kinds[] = {Kernel::POTRF, Kernel::GEMM,  Kernel::TRSM,
+                          Kernel::SYRK,  Kernel::GEMM,  Kernel::POTRF,
+                          Kernel::TRSM,  Kernel::GEMM,  Kernel::SYRK,
+                          Kernel::POTRF, Kernel::TRSM,  Kernel::GEMM};
+  TaskGraph g;
+  for (int i = 0; i < 12; ++i) g.add_task(kinds[i], 0, i, 0, 1.0);
+  const Platform p = tiny_homog(1);
+  const std::vector<double> prio = bottom_levels_fastest(g, p);
+
+  DmdaScheduler sched = make_dmdas(g, p);
+  IdleHost host(g, p);
+  sched.initialize(host);
+  std::deque<int> ref;  // the historical linear-scan insert
+  const auto push = [&](int task) {
+    sched.on_task_ready(host, task);
+    auto it = ref.begin();
+    while (it != ref.end() && prio[static_cast<std::size_t>(*it)] >=
+                                  prio[static_cast<std::size_t>(task)])
+      ++it;
+    ref.insert(it, task);
+  };
+  std::vector<int> got;
+  std::vector<int> want;
+  const auto pop = [&] {
+    got.push_back(sched.pop_task(host, 0));
+    want.push_back(ref.front());
+    ref.pop_front();
+  };
+  for (int t = 0; t < 7; ++t) push(t);
+  pop();
+  pop();
+  for (int t = 7; t < 12; ++t) push(t);
+  while (!ref.empty()) pop();
+  EXPECT_EQ(sched.pop_task(host, 0), -1);
+  EXPECT_EQ(got, want);
+  // Spelled out: GEMMs 1 and 4 leave first; then the queue holds
+  // {2, 3, 6 | 0, 5} and 7..11 slot in behind their equals.
+  EXPECT_EQ(got, (std::vector<int>{1, 4, 7, 11, 2, 3, 6, 8, 10, 0, 5, 9}));
 }
 
 TEST(DmdaVsDmdas, BothCompleteCholesky) {

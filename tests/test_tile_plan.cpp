@@ -1,8 +1,8 @@
 // TilePlan: text round-trip and validation, the uniform base-level
-// early-return's graph identity with the classic builder, mixed-plan DAG
-// structure (SPLIT/MERGE repacks, per-task nb stamps), and the
-// auto-tuner's never-worse-than-uniform guarantee. The plan executor is
-// tested in test_plan_executor.cpp.
+// early-return's graph identity with the classic builder, and mixed-plan
+// DAG structure (SPLIT/MERGE repacks, per-task nb stamps). The plan
+// executor is tested in test_plan_executor.cpp, the auto-tuner in
+// test_auto_tune.cpp.
 #include "core/tile_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/cholesky_dag.hpp"
-#include "partition/auto_tune.hpp"
 #include "sched/scheduler_registry.hpp"
 #include "sim/simulator.hpp"
 #include "tests/test_util.hpp"
@@ -134,23 +133,6 @@ TEST(TilePlan, UniformPlanSimulatesBitForBitLikeClassic) {
   const auto s2 = sched::make_scheduler("dmdas", planned, p);
   EXPECT_EQ(simulate(classic, p, *s1).makespan_s,
             simulate(planned, p, *s2).makespan_s);
-}
-
-TEST(AutoTune, NeverWorseThanBestUniformAndReproducible) {
-  const Platform p = testutil::tiny_hetero();
-  partition::AutoTuneOptions opt;
-  opt.policy = "dmdas";
-  const partition::AutoTuneResult res = partition::auto_tune(4, p.nb(), p, opt);
-  EXPECT_EQ(res.plan.validate(), "");
-  EXPECT_LE(res.makespan_s, res.uniform_makespan_s);
-  // The reported makespan is the plan's actual rollout value (same DES,
-  // deterministic), and the seed level's uniform rollout matches too.
-  EXPECT_EQ(partition::rollout_makespan_s(res.plan, p, "dmdas"),
-            res.makespan_s);
-  EXPECT_EQ(partition::rollout_makespan_s(
-                TilePlan::uniform(4, p.nb(), res.uniform_level), p, "dmdas"),
-            res.uniform_makespan_s);
-  EXPECT_GE(res.rollouts, 1);
 }
 
 }  // namespace

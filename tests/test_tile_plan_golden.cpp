@@ -3,7 +3,9 @@
 // indistinguishable from the classic path -- identical DES makespans,
 // identical values for every registered bound model, and identical
 // compute traces. Any drift here means mixed-nb support leaked into the
-// uniform code path (the one every pre-TilePlan workload uses).
+// uniform code path (the one every pre-TilePlan workload uses). A second
+// pin fixes one auto-tuner result bit-for-bit: any change to the DES, the
+// dmdas policy or the tuner's search that moves a rollout shows here.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +16,7 @@
 #include "bounds/bound_model.hpp"
 #include "core/cholesky_dag.hpp"
 #include "core/tile_plan.hpp"
+#include "partition/auto_tune.hpp"
 #include "platform/calibration.hpp"
 #include "sched/scheduler_registry.hpp"
 #include "sim/simulator.hpp"
@@ -72,6 +75,26 @@ TEST(TilePlanGolden, UniformPlanMatchesClassicEverywhere) {
       }
     }
   }
+}
+
+TEST(TilePlanGolden, AutoTuneMirageNocommDmdas8Tiles) {
+  const Platform p = mirage_platform().without_communication();
+  const partition::AutoTuneResult r = partition::auto_tune(8, p.nb(), p);
+  EXPECT_EQ(r.makespan_s, 0x1.b0e1ec6f031c9p-3);  // 0.21136841501028261 s
+  EXPECT_EQ(r.uniform_makespan_s, 0x1.c8eed7f7f3ec0p-3);
+  EXPECT_EQ(r.uniform_level, 1);
+  EXPECT_EQ(r.rollouts, 161);
+  EXPECT_EQ(r.rounds, 3);
+  EXPECT_EQ(r.plan.to_text(),
+            "8 960\n"
+            "1\n"
+            "1 1\n"
+            "1 1 1\n"
+            "2 1 1 1\n"
+            "1 1 1 1 1\n"
+            "1 1 1 1 1 1\n"
+            "1 1 1 1 1 1 2\n"
+            "2 1 1 1 1 1 2 2\n");
 }
 
 }  // namespace
