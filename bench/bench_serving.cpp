@@ -3,10 +3,8 @@
 // One FactorizationServer per max_batch value is fed the same backlog of
 // small SPD factorization jobs (one geometry, distinct seeds) and drained
 // to completion. Fusing B jobs into one task graph amortizes graph
-// construction, keeps the worker pool busy between jobs and -- the point
-// of the small-nb regime -- keeps the packed-tile cache warm across the
-// whole batch, so the sweep prints throughput, mean latency and the cache
-// hit rate side by side per batch size.
+// construction and keeps the worker pool busy between jobs, so the sweep
+// prints throughput and mean latency side by side per batch size.
 //
 // Argument-free, like the other bench binaries. The machine-readable
 // variant of this sweep is `bench_to_json --serving` (BENCH_serving.json
@@ -69,15 +67,9 @@ bool run_config(int nb, int max_batch, int threads) {
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
   const serve::ServeMetrics m = server.metrics();
   server.shutdown(serve::FactorizationServer::Shutdown::kGraceful);
-  const long long lookups = m.pack_hits + m.pack_misses;
-  const double hit_rate =
-      lookups > 0
-          ? static_cast<double>(m.pack_hits) / static_cast<double>(lookups)
-          : 0.0;
-  std::printf("  %2d      %3lld     %8.3f   %10.2f   %10.3f   %7.1f%%\n",
-              max_batch, static_cast<long long>(m.batches), secs,
-              static_cast<double>(kJobs) / secs, m.latency_ms_mean,
-              100.0 * hit_rate);
+  std::printf("  %2d      %3lld     %8.3f   %10.2f   %10.3f\n", max_batch,
+              static_cast<long long>(m.batches), secs,
+              static_cast<double>(kJobs) / secs, m.latency_ms_mean);
   return true;
 }
 
@@ -90,8 +82,7 @@ int main() {
               kJobs, kTiles, kTiles, threads);
   for (const int nb : {64, 96}) {
     std::printf("nb = %d\n", nb);
-    std::printf("  batch  batches  seconds     jobs/s       mean ms    "
-                "pack hit\n");
+    std::printf("  batch  batches  seconds     jobs/s       mean ms\n");
     for (const int max_batch : {1, 2, 4, 8})
       if (!run_config(nb, max_batch, threads)) return 1;
   }

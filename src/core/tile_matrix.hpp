@@ -49,8 +49,8 @@ class TileMatrix {
   /// Deterministic diagonally-dominant SPD tiled matrix, O(N^2): random
   /// off-diagonal entries in [-1, 1] with the diagonal lifted to 2N, so
   /// Cholesky always succeeds. The benchmark-input generator (exec CLI,
-  /// bench_to_json --runtime, bench_pack_cache) for sizes where
-  /// random_spd's Gram product would dominate the wall time.
+  /// hetsched_bench) for sizes where random_spd's Gram product would
+  /// dominate the wall time.
   static TileMatrix synthetic_spd(int n_tiles, int nb, unsigned seed);
 
   /// Rewrites this matrix with the synthetic_spd content in place, without

@@ -15,7 +15,6 @@
 
 #include "core/task_graph.hpp"
 #include "core/tile_matrix.hpp"
-#include "kernels/pack_cache.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/run_report.hpp"
 
@@ -27,9 +26,6 @@ struct ExecOptions {
   std::vector<double> priorities;
   /// Record a wall-clock Gantt trace.
   bool record_trace = true;
-  /// Packed-tile cache policy for this run (default: follow the
-  /// HETSCHED_PACK_CACHE environment, on when unset).
-  kernels::PackCacheOptions pack_cache;
   /// Cooperative cancellation / deadline (see runtime/cancel.hpp). Not
   /// owned; nullptr (the default) leaves the run unchanged. A fired token
   /// reports RunErrorKind::Cancelled / DeadlineExceeded via the result.

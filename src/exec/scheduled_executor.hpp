@@ -38,8 +38,8 @@ namespace hetsched {
 /// with error_kind Numeric (non-SPD pivot), Fault (recovery machinery
 /// exhausted) or Scheduler (the policy starved ready tasks).
 ///
-/// The wall-clock backend honours record_trace, faults, pack_cache,
-/// stream and cancel of `opt` and ignores the DES modeling knobs.
+/// The wall-clock backend honours record_trace, faults, stream and cancel
+/// of `opt` and ignores the DES modeling knobs.
 RunReport execute_with_scheduler(TileMatrix& a, const TaskGraph& g,
                                  const Platform& calibration,
                                  Scheduler& sched, int num_threads,

@@ -11,9 +11,8 @@
 //              on baseline hardware).
 //   kAvx512  : AVX-512F intrinsics. The register tile widens to 8x8 by
 //              consuming two adjacent kNR-wide packed B micro-panels per
-//              micro-kernel call, so the packed-panel ABI (and with it
-//              every PackedTileCache image) is shared with the narrower
-//              tiers; odd trailing panels and diagonal-straddling SYRK
+//              micro-kernel call, so the packed-panel ABI is shared with
+//              the narrower tiers; odd trailing panels and diagonal-straddling SYRK
 //              tiles fall back to the 8x4 AVX2 kernel within the same
 //              call. Selected only when the CPU reports AVX-512F.
 //

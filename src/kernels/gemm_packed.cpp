@@ -71,8 +71,7 @@ void micro_8x4_generic(int kc, const double* pa, const double* pb,
 
 void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
                  const double* b, int ldb, BLayout layout, double* c, int ldc,
-                 bool lower_only, const PackedView* packed_a,
-                 const PackedView* packed_b) {
+                 bool lower_only) {
   if (m <= 0 || n <= 0 || k <= 0 || alpha == 0.0) return;
   // One tier snapshot per call (see engine.hpp): every micro-kernel
   // decision below derives from `tier`, so a concurrent set_engine_tier()
@@ -85,55 +84,21 @@ void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
   const MicroKernel micro =
       tier == Tier::kGeneric ? micro_8x4_generic : micro_8x4_avx2;
   // Thread-local binding first (per-region TilePlan geometry), else the
-  // process-wide geometry; must match what the pack cache keyed on.
+  // process-wide geometry.
   const PackGeometry g = detail::active_pack_geometry();
-
-  // Per-call scratch only for operands without a pre-packed image.
-  double* pb = nullptr;
-  double* pa = nullptr;
-  if (packed_a == nullptr || packed_b == nullptr) {
-    TileScratch& scratch = active_scratch();
-    if (packed_b == nullptr) pb = scratch.b_panel(b_call_doubles(n, g));
-    if (packed_a == nullptr) pa = scratch.a_panel(a_call_doubles(m, g));
-  }
-  // Full-image layout constants (see pack_geometry.hpp): slice pc of an A
-  // image starts a_rows * pc doubles in, of a B image b_cols * pc.
-  const int a_rows = packed_a != nullptr ? a_slice_rows(packed_a->dim, g) : 0;
-  const int b_cols = packed_b != nullptr ? round_up(packed_b->dim, kNR) : 0;
+  TileScratch& scratch = active_scratch();
+  double* const pb = scratch.b_panel(b_call_doubles(n, g));
+  double* const pa = scratch.a_panel(a_call_doubles(m, g));
 
   for (int pc = 0; pc < k; pc += g.kc) {
     const int kc = std::min(g.kc, k - pc);
-    const double* pbs;  // packed slice, offset to C's column 0
-    int bstride;        // doubles per packed column micro-panel
-    if (packed_b != nullptr) {
-      bstride = std::min(g.kc, packed_b->k_total - pc);
-      pbs = packed_b->data +
-            static_cast<std::size_t>(b_cols) * static_cast<std::size_t>(pc) +
-            static_cast<std::ptrdiff_t>(packed_b->col_offset) * bstride;
-    } else {
-      const double* bpc = layout == BLayout::kNT
-                              ? b + static_cast<std::ptrdiff_t>(pc) * ldb
-                              : b + pc;
-      if (!coop_pack_b(kc, n, bpc, ldb, layout, pb))
-        pack_b(kc, n, bpc, ldb, layout, pb);
-      pbs = pb;
-      bstride = kc;
-    }
+    pack_b(kc, n,
+           layout == BLayout::kNT ? b + static_cast<std::ptrdiff_t>(pc) * ldb
+                                  : b + pc,
+           ldb, layout, pb);
     for (int ic = 0; ic < m; ic += g.mc) {
       const int mc = std::min(g.mc, m - ic);
-      const double* pas;  // packed block at row ic
-      int astride;        // doubles per packed row micro-panel
-      if (packed_a != nullptr) {
-        astride = std::min(g.kc, packed_a->k_total - pc);
-        pas = packed_a->data +
-              static_cast<std::size_t>(a_rows) * static_cast<std::size_t>(pc) +
-              static_cast<std::ptrdiff_t>(ic) * astride;
-      } else {
-        const double* apc = a + ic + static_cast<std::ptrdiff_t>(pc) * lda;
-        if (!coop_pack_a(mc, kc, apc, lda, pa)) pack_a(mc, kc, apc, lda, pa);
-        pas = pa;
-        astride = kc;
-      }
+      pack_a(mc, kc, a + ic + static_cast<std::ptrdiff_t>(pc) * lda, lda, pa);
       // The AVX-512 tier consumes two adjacent B micro-panels per
       // micro-kernel call (jw = 8 columns) whenever a second panel exists;
       // the trailing odd panel and SYRK micro-tiles whose right panel is
@@ -146,17 +111,17 @@ void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
         const bool paired = wide && n - jr > kNR;
         const int jw = paired ? 2 * kNR : kNR;
         const int nr = std::min(jw, n - jr);
-        const double* pbj = pbs + static_cast<std::ptrdiff_t>(jr) * bstride;
+        const double* pbj = pb + static_cast<std::ptrdiff_t>(jr) * kc;
         for (int ir = 0; ir < mc; ir += kMR) {
           const int mr = std::min(kMR, mc - ir);
           const int gi = ic + ir;  // global row of the micro-tile's top
           if (lower_only && gi + mr - 1 < jr) continue;  // strictly upper
           alignas(64) double acc[kMR * 2 * kNR];
-          const double* pai = pas + static_cast<std::ptrdiff_t>(ir) * astride;
+          const double* pai = pa + static_cast<std::ptrdiff_t>(ir) * kc;
           int cols;  // accumulator columns holding live results
           if (paired && !(lower_only && gi + mr - 1 < jr + kNR)) {
             micro_8x8_avx512(kc, pai, pbj,
-                             pbj + static_cast<std::ptrdiff_t>(kNR) * bstride,
+                             pbj + static_cast<std::ptrdiff_t>(kNR) * kc,
                              acc);
             cols = nr;
           } else {

@@ -17,11 +17,10 @@
 // C's own index space (SYRK's lower triangle); micro-tiles entirely above
 // the diagonal are skipped before any flops are spent.
 //
-// Either operand's packing can be skipped by passing a PackedView onto a
-// pre-packed full image (normally pinned in the PackedTileCache, see
-// pack_cache.hpp); panel offsets then follow the full-image layout of
-// pack_geometry.hpp instead of the per-call scratch layout. The kc/mc
-// geometry comes from pack_geometry() either way.
+// Both operands are packed per call into the calling thread's TileScratch
+// (scratch.hpp), with the kc/mc geometry of pack_geometry.hpp: each tile
+// kernel is a self-contained call that shares no packed state with any
+// other.
 //
 // This header is internal to src/kernels; the public surface is
 // core/kernels.hpp (tile API) + kernels/engine.hpp (dispatch control).
@@ -37,26 +36,12 @@ enum class BLayout {
   kNN,  ///< B stored k x n, product uses B    (dgemm NN)
 };
 
-/// A full packed image of an operand (layout per pack_geometry.hpp),
-/// packed with the current geometry. The consuming call may contract a
-/// depth k <= k_total -- panels are then read as prefixes -- and, for B,
-/// start at column `col_offset` (a kNR multiple).
-struct PackedView {
-  const double* data = nullptr;
-  int dim = 0;         ///< rows (A flavor) / columns (B flavor) packed
-  int k_total = 0;     ///< depth the image was packed with
-  int col_offset = 0;  ///< B only: first column consumed (kNR multiple)
-};
-
 /// C(m x n) += alpha * A(m x k) * op(B) with op per `layout`; `lower_only`
-/// confines stores to C's lower triangle (row >= col). Operands without a
-/// PackedView are packed through the calling thread's active TileScratch
-/// (see scratch.hpp); `layout` must be kNT when `packed_b` is given (the
-/// cache packs NT images only).
+/// confines stores to C's lower triangle (row >= col). Both operands are
+/// packed through the calling thread's active TileScratch.
 void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
                  const double* b, int ldb, BLayout layout, double* c, int ldc,
-                 bool lower_only, const PackedView* packed_a = nullptr,
-                 const PackedView* packed_b = nullptr);
+                 bool lower_only);
 
 /// Packs A(mc x kc) (column-major, leading dimension lda) into kMR-tall
 /// row micro-panels: panel ir starts at dst + ir*kc and stores column p of
@@ -95,15 +80,5 @@ bool avx2_supported();
 
 /// True when the running CPU reports AVX-512F.
 bool avx512_supported();
-
-/// Cooperative (multi-threaded) packing entry points: publish the pack as
-/// a sliced job idle workers steal (see pack_coop.hpp) and return true
-/// with `dst` fully written; return false when the caller should run the
-/// serial pack_a/pack_b instead (below the size floor, no helpers
-/// registered, or another job holds the slot). Buffer contents are
-/// byte-identical either way.
-bool coop_pack_a(int mc, int kc, const double* a, int lda, double* dst);
-bool coop_pack_b(int kc, int n, const double* b, int ldb, BLayout layout,
-                 double* dst);
 
 }  // namespace hetsched::kernels::detail

@@ -13,14 +13,12 @@
 #include <cstdint>
 
 #include "kernels/gemm_packed.hpp"
-#include "kernels/pack_cache.hpp"
 #include "kernels/ref.hpp"
 
 namespace hetsched::kernels {
 namespace {
 
 using detail::BLayout;
-using detail::PackedView;
 
 // Below this many multiply-adds the packing traffic dominates; the
 // reference loops are faster (and bit-identical to the seed).
@@ -39,38 +37,9 @@ inline std::int64_t work(int m, int n, int k) {
   return static_cast<std::int64_t>(m) * n * k;
 }
 
-// Pins the cached full-image pack of an nb x nb tile in one flavor when
-// this thread is bound to a PackedTileCache and the tile is contiguous
-// (lda == nb). Returns nullptr -- and gemm_packed packs per-call through
-// scratch -- on a bypass, an uncacheable shape or a failed acquire.
-struct CachedOperand {
-  PackedTileCache::Handle handle;
-  PackedView view;
-
-  const PackedView* pin(PackedTileCache* cache, const double* tile, int nb,
-                        int lda, PackFlavor flavor) {
-    if (cache == nullptr || lda != nb) return nullptr;
-    if (!cache->acquire(tile, nb, nb, flavor, &handle)) return nullptr;
-    view = {handle.data(), nb, nb, 0};
-    return &view;
-  }
-};
-
-// The cache this thread's call should consult: only bound threads (the
-// compute backend's workers) and only above the packing floor, so
-// sub-floor tiles keep the reference path untouched.
-inline PackedTileCache* cache_for(std::int64_t flops) {
-  return flops >= kPackedWorkFloor ? detail::active_pack_cache() : nullptr;
-}
-
-// X * L^T = A on an m x n block, blocked for the packed engine. `vl` is an
-// optional cached B-flavor image of the full n x n L tile; block j then
-// consumes columns j.. at depth j as a panel prefix (kTrsmBlock is a kNR
-// multiple, so column groups stay aligned).
+// X * L^T = A on an m x n block, blocked for the packed engine.
 void trsm_rlt_blocked(int m, int n, const double* l, int ldl, double* a,
-                      int lda, const PackedView* vl = nullptr) {
-  static_assert(kTrsmBlock % detail::kNR == 0,
-                "cached TRSM column offsets must stay panel-aligned");
+                      int lda) {
   if (n <= kTrsmBlock || work(m, n, n) < kPackedWorkFloor) {
     ref::trsm_rlt(m, n, l, ldl, a, lda);
     return;
@@ -81,15 +50,8 @@ void trsm_rlt_blocked(int m, int n, const double* l, int ldl, double* a,
     if (j > 0) {
       // A(:, j:j+jb) -= A(:, 0:j) * L(j:j+jb, 0:j)^T  -- row slice of L
       // consumed as an NT-layout B.
-      PackedView vj;
-      const PackedView* vb = nullptr;
-      if (vl != nullptr) {
-        vj = *vl;
-        vj.col_offset = j;
-        vb = &vj;
-      }
       detail::gemm_packed(m, jb, j, -1.0, a, lda, l + j, ldl, BLayout::kNT,
-                          aj, lda, /*lower_only=*/false, nullptr, vb);
+                          aj, lda, /*lower_only=*/false);
     }
     ref::trsm_rlt(m, jb, l + j + static_cast<std::ptrdiff_t>(j) * ldl, ldl,
                   aj, lda);
@@ -98,14 +60,13 @@ void trsm_rlt_blocked(int m, int n, const double* l, int ldl, double* a,
 
 // C(n x n lower) += alpha * A(n x k) * A^T through the engine.
 void syrk_ln_blocked(int n, int k, double alpha, const double* a, int lda,
-                     double* c, int ldc, const PackedView* va = nullptr,
-                     const PackedView* vb = nullptr) {
+                     double* c, int ldc) {
   if (work(n, n, k) < kPackedWorkFloor) {
     ref::syrk_ln(n, k, alpha, a, lda, c, ldc);
     return;
   }
   detail::gemm_packed(n, n, k, alpha, a, lda, a, lda, BLayout::kNT, c, ldc,
-                      /*lower_only=*/true, va, vb);
+                      /*lower_only=*/true);
 }
 
 }  // namespace
@@ -132,23 +93,11 @@ int potrf_info(int nb, double* a, int lda) {
 }
 
 void trsm(int nb, const double* l, int ldl, double* a, int lda) {
-  // The diagonal L tile is read by every TRSM of its panel: one cached
-  // B-flavor image serves all of them (and its own column blocks).
-  PackedTileCache* cache = nb > kTrsmBlock ? cache_for(work(nb, nb, nb))
-                                           : nullptr;
-  CachedOperand cl;
-  trsm_rlt_blocked(nb, nb, l, ldl, a, lda,
-                   cl.pin(cache, l, nb, ldl, PackFlavor::kB));
+  trsm_rlt_blocked(nb, nb, l, ldl, a, lda);
 }
 
 void syrk(int nb, const double* a, int lda, double* c, int ldc) {
-  // SYRK contracts the tile with itself: both flavors of one image.
-  PackedTileCache* cache = cache_for(work(nb, nb, nb));
-  CachedOperand ca;
-  CachedOperand cb;
-  syrk_ln_blocked(nb, nb, -1.0, a, lda, c, ldc,
-                  ca.pin(cache, a, nb, lda, PackFlavor::kA),
-                  cb.pin(cache, a, nb, lda, PackFlavor::kB));
+  syrk_ln_blocked(nb, nb, -1.0, a, lda, c, ldc);
 }
 
 void gemm(int nb, const double* a, int lda, const double* b, int ldb,
@@ -157,13 +106,8 @@ void gemm(int nb, const double* a, int lda, const double* b, int ldb,
     ref::gemm(nb, a, lda, b, ldb, c, ldc);
     return;
   }
-  PackedTileCache* cache = cache_for(work(nb, nb, nb));
-  CachedOperand ca;
-  CachedOperand cb;
   detail::gemm_packed(nb, nb, nb, -1.0, a, lda, b, ldb, BLayout::kNT, c, ldc,
-                      /*lower_only=*/false,
-                      ca.pin(cache, a, nb, lda, PackFlavor::kA),
-                      cb.pin(cache, b, nb, ldb, PackFlavor::kB));
+                      /*lower_only=*/false);
 }
 
 // ---- LU kernels ------------------------------------------------------------

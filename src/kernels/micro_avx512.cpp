@@ -7,9 +7,8 @@
 // kMR-tall packed A column, and the 8 accumulator columns come from TWO
 // adjacent kNR-wide packed B micro-panels consumed in lockstep. Keeping
 // kMR/kNR (and with them the packed-panel ABI) unchanged means every
-// packed image -- per-call scratch panels and PackedTileCache entries
-// alike -- is shared bit-for-bit across all three tiers; only the macro
-// loop pairs panels up (gemm_packed.cpp).
+// packed scratch panel is shared bit-for-bit across all three tiers; only
+// the macro loop pairs panels up (gemm_packed.cpp).
 //
 // Port budget per depth step on a 2x512-bit-FMA core: 8 FMAs (4 cycles at
 // 2/cycle) against 9 load-port uops (1 A load + 8 B broadcasts), so the

@@ -1,69 +1,18 @@
 #include "kernels/pack_geometry.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
-#include <vector>
-
-#include "kernels/pack_cache.hpp"
 
 namespace hetsched::kernels {
 namespace {
-
-// kc in the low 16 bits, mc in the high 16: one atomic word so concurrent
-// readers always see a consistent pair.
-constexpr unsigned pack_word(PackGeometry g) {
-  return static_cast<unsigned>(g.kc) | (static_cast<unsigned>(g.mc) << 16);
-}
-
-std::atomic<unsigned> g_geometry{
-    pack_word({detail::kKCDefault, detail::kMCDefault})};
-std::atomic<unsigned> g_generation{0};
 
 // Thread-local override installed by PackGeometryBinding.
 thread_local PackGeometry tl_geometry{0, 0};
 thread_local bool tl_bound = false;
 
-// Process-wide registry of distinct geometries, keyed by pack word.
-// Id 0 is the default geometry; lookups are lock-free for ids already
-// published (the common case: one id per distinct region nb).
-constexpr int kMaxGeometryIds = 127;
-struct GeometryRegistry {
-  std::mutex mu;
-  std::vector<unsigned> words;
-  std::atomic<int> count{1};
-  GeometryRegistry() {
-    words.reserve(kMaxGeometryIds);
-    words.push_back(pack_word({detail::kKCDefault, detail::kMCDefault}));
-  }
-};
-GeometryRegistry& geometry_registry() {
-  static GeometryRegistry reg;
-  return reg;
-}
-
 }  // namespace
 
 PackGeometry pack_geometry() noexcept {
-  const unsigned w = g_geometry.load(std::memory_order_relaxed);
-  return {static_cast<int>(w & 0xffffu), static_cast<int>(w >> 16)};
-}
-
-void set_pack_geometry(PackGeometry g) {
-  if (g.kc < 1) g.kc = 1;
-  if (g.kc > 0xffff) g.kc = 0xffff;
-  if (g.mc < detail::kMR) g.mc = detail::kMR;
-  g.mc = detail::round_up(g.mc, detail::kMR);
-  if (g.mc > 0xffff) g.mc = 0xffff / detail::kMR * detail::kMR;
-  // Generation first: a racing acquire() that still reads the old geometry
-  // builds a key no post-switch lookup can match.
-  g_generation.fetch_add(1, std::memory_order_relaxed);
-  g_geometry.store(pack_word(g), std::memory_order_relaxed);
-  process_pack_cache().invalidate_all();
-}
-
-void reset_pack_geometry() {
-  set_pack_geometry({detail::kKCDefault, detail::kMCDefault});
+  return {detail::kKCDefault, detail::kMCDefault};
 }
 
 PackGeometry resolve_pack_geometry(int region_nb) noexcept {
@@ -88,32 +37,8 @@ PackGeometryBinding::~PackGeometryBinding() {
 
 namespace detail {
 
-unsigned pack_geometry_generation() noexcept {
-  return g_generation.load(std::memory_order_relaxed);
-}
-
 PackGeometry active_pack_geometry() noexcept {
   return tl_bound ? tl_geometry : pack_geometry();
-}
-
-int pack_geometry_id(PackGeometry g) noexcept {
-  const unsigned w = pack_word(g);
-  GeometryRegistry& reg = geometry_registry();
-  const int published = reg.count.load(std::memory_order_acquire);
-  for (int i = 0; i < published; ++i)
-    if (reg.words[static_cast<std::size_t>(i)] == w) return i;
-  std::lock_guard<std::mutex> lock(reg.mu);
-  const int n = reg.count.load(std::memory_order_relaxed);
-  for (int i = published; i < n; ++i)
-    if (reg.words[static_cast<std::size_t>(i)] == w) return i;
-  if (n >= kMaxGeometryIds) return -1;  // callers pack uncached
-  reg.words.push_back(w);  // reserved capacity: no reallocation races
-  reg.count.store(n + 1, std::memory_order_release);
-  return n;
-}
-
-int active_pack_geometry_id() noexcept {
-  return pack_geometry_id(active_pack_geometry());
 }
 
 }  // namespace detail

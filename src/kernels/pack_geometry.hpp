@@ -1,12 +1,8 @@
 // Single source of truth for the packed-engine blocking geometry.
 //
-// The packed GEMM core, the per-call scratch sizing and the PackedTileCache
-// all derive panel sizes and offsets from the helpers in this header.
-// Before it existed, the scratch sizing hard-coded the kc/mc constants
-// independently of the packing loops, so a geometry switch could hand the
-// micro-kernel a stale-sized buffer; now a switch through
-// set_pack_geometry() changes every consumer at once (and invalidates the
-// pack cache, whose keys carry the geometry generation).
+// The packed GEMM core and the per-call scratch sizing both derive panel
+// sizes from the helpers in this header, so the scratch requests always
+// match what the packing loops write.
 //
 // kMR/kNR stay compile-time: the micro-kernel's register tile is part of
 // the ABI of every packed panel.
@@ -22,18 +18,8 @@ struct PackGeometry {
   int mc;  ///< height of one packed A block (L2 blocking); kMR multiple
 };
 
-/// The geometry kernel calls currently pack with (default 256 x 128).
+/// The process-wide geometry kernel calls pack with (256 x 128).
 PackGeometry pack_geometry() noexcept;
-
-/// Overrides the process-wide geometry: kc clamped to [1, 65535], mc
-/// rounded up to a kMR multiple (the A-pack offset arithmetic requires
-/// it). Bumps the pack-geometry generation and drops every cached panel.
-/// Not thread-safe w.r.t. concurrently running kernels; intended for
-/// test/bench setup code, like set_engine_tier().
-void set_pack_geometry(PackGeometry g);
-
-/// Restores the default geometry (and invalidates the cache).
-void reset_pack_geometry();
 
 /// Geometry for kernels operating on a tile region of side `region_nb`:
 /// the process-wide geometry with kc clamped to the region depth and mc
@@ -44,11 +30,10 @@ void reset_pack_geometry();
 PackGeometry resolve_pack_geometry(int region_nb) noexcept;
 
 /// RAII thread-local geometry override. While alive, this thread's
-/// kernel calls (and their pack-cache entries) use `g` instead of the
-/// process-wide geometry; other threads are unaffected, so workers
-/// executing different TilePlan regions concurrently each pack with
-/// their own blocking. Bindings nest; destruction restores the previous
-/// binding (or the global geometry).
+/// kernel calls use `g` instead of the process-wide geometry; other
+/// threads are unaffected, so workers executing different TilePlan
+/// regions concurrently each pack with their own blocking. Bindings nest;
+/// destruction restores the previous binding (or the global geometry).
 class PackGeometryBinding {
  public:
   explicit PackGeometryBinding(PackGeometry g) noexcept;
@@ -83,45 +68,9 @@ inline std::size_t a_call_doubles(int m, const PackGeometry& g) {
          static_cast<std::size_t>(g.kc);
 }
 
-/// Zero-padded row count of one depth-slice of a full A-flavor pack: every
-/// block is mc tall (a kMR multiple) except the last, padded to kMR. With
-/// that, block ic of a slice starts ic * kc doubles into it.
-inline int a_slice_rows(int m, const PackGeometry& g) {
-  const int last = (m - 1) / g.mc * g.mc;  // start of the last block
-  return last + round_up(m - last, kMR);
-}
-
-/// Doubles of a full packed A image of an m x k operand (all slices).
-inline std::size_t a_pack_doubles(int m, int k, const PackGeometry& g) {
-  return static_cast<std::size_t>(a_slice_rows(m, g)) *
-         static_cast<std::size_t>(k);
-}
-
-/// Doubles of a full packed op(B) image of a k x n operand (all slices).
-/// Slice pc starts round_up(n, kNR) * pc doubles in, independent of kc.
-inline std::size_t b_pack_doubles(int n, int k) {
-  return static_cast<std::size_t>(round_up(n, kNR)) *
-         static_cast<std::size_t>(k);
-}
-
-/// Bumped by every set_pack_geometry(); folded into pack-cache keys so no
-/// stale-geometry panel can satisfy a lookup.
-unsigned pack_geometry_generation() noexcept;
-
 /// Geometry the calling thread's kernels pack with: the innermost live
 /// PackGeometryBinding, else the process-wide geometry.
 PackGeometry active_pack_geometry() noexcept;
-
-/// Stable process-wide id of a distinct (kc, mc) pair, for exact
-/// geometry keying of pack-cache entries (a panel packed under one
-/// geometry has a different layout than under another, so entries from
-/// concurrent runs with different geometries must never alias). Ids are
-/// 7-bit; past 127 distinct geometries the registry returns -1 and
-/// callers fall back to uncached packing.
-int pack_geometry_id(PackGeometry g) noexcept;
-
-/// pack_geometry_id(active_pack_geometry()).
-int active_pack_geometry_id() noexcept;
 
 }  // namespace detail
 }  // namespace hetsched::kernels

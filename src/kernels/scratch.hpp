@@ -19,10 +19,9 @@
 // construction in the executors).
 //
 // Panel byte counts are not chosen here: every request goes through the
-// a_call_doubles / b_call_doubles helpers of pack_geometry.hpp -- the same
-// source of truth the PackedTileCache sizes its images with -- so a kc/mc
-// override through set_pack_geometry() resizes the scratch requests and
-// the cache layout together (ensure() then grows the buffer on the next
+// a_call_doubles / b_call_doubles helpers of pack_geometry.hpp, so a
+// region geometry bound through PackGeometryBinding resizes the scratch
+// requests with the packing loops (ensure() then grows the buffer on the
 // call; a stale smaller buffer can never reach the micro-kernel).
 #pragma once
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "kernels/pack_cache.hpp"
 #include "obs/event.hpp"
 
 namespace hetsched {
@@ -125,12 +124,6 @@ struct MetricsSnapshot {
   /// One-per-increment fault tallies; equals the run's FaultStats when no
   /// event was dropped.
   FaultStats faults;
-  /// Packed-tile cache deltas since configure() (all zero before it, or
-  /// when the cache is off; sampled from the process cache at snapshot()).
-  std::uint64_t pack_hits = 0;
-  std::uint64_t pack_misses = 0;
-  std::uint64_t pack_evictions = 0;
-  std::uint64_t pack_bytes_packed = 0;
   /// Per-policy counters accumulated through add_scheduler_stats()
   /// (RunReport::scheduler_stats of each observed run, summed by key):
   /// steal counts, static-pool hits, boundary crossings, ... Sorted by
@@ -194,10 +187,6 @@ class MetricsAggregator final : public Sink {
   std::vector<int> worker_class_;
   std::vector<int> class_worker_count_;
   std::vector<double> busy_s_per_worker_;
-  /// Process pack-cache counters at configure() time; snapshot() reports
-  /// deltas against this so the window matches the run being observed.
-  kernels::PackCacheStats pack_base_;
-  bool pack_configured_ = false;
   int nb_ = 0;
   double bound_s_ = 0.0;
   std::vector<std::pair<std::string, double>> named_bounds_;

@@ -194,8 +194,6 @@ void MetricsAggregator::configure(const Platform& p) {
   }
   snap_.busy_s_per_class.assign(snap_.class_names.size(), 0.0);
   snap_.idle_frac_per_class.assign(snap_.class_names.size(), 0.0);
-  pack_base_ = kernels::process_pack_cache().stats();
-  pack_configured_ = true;
 }
 
 void MetricsAggregator::set_report(std::FILE* out, double interval_s) {
@@ -282,13 +280,6 @@ MetricsSnapshot MetricsAggregator::snapshot() const {
     s.idle_frac_per_class[c] =
         denom > 0.0 ? 1.0 - s.busy_s_per_class[c] / denom : 0.0;
   }
-  if (pack_configured_) {
-    const kernels::PackCacheStats p = kernels::process_pack_cache().stats();
-    s.pack_hits = p.hits - pack_base_.hits;
-    s.pack_misses = p.misses - pack_base_.misses;
-    s.pack_evictions = p.evictions - pack_base_.evictions;
-    s.pack_bytes_packed = p.bytes_packed - pack_base_.bytes_packed;
-  }
   for (const auto& [key, value] : sched_stats_)
     s.scheduler_stats.emplace_back(key, value);
   return s;
@@ -325,14 +316,12 @@ void MetricsAggregator::report_line(const MetricsSnapshot& s) const {
   if (!sched.empty()) named += " sched=" + sched;
   std::fprintf(report_out_,
                "[obs] events=%llu makespan=%.4fs gflops=%.1f idle=%s "
-               "bound_ratio=%.3f%s faults=%llu pack=%llu/%llu\n",
+               "bound_ratio=%.3f%s faults=%llu\n",
                static_cast<unsigned long long>(
                    s.compute_events + s.transfer_events + s.fault_events),
                s.makespan_s, s.gflops, idle.empty() ? "-" : idle.c_str(),
                s.bound_ratio, named.c_str(),
-               static_cast<unsigned long long>(s.fault_events),
-               static_cast<unsigned long long>(s.pack_hits),
-               static_cast<unsigned long long>(s.pack_misses));
+               static_cast<unsigned long long>(s.fault_events));
   std::fflush(report_out_);
 }
 

@@ -63,7 +63,6 @@ namespace {
 RunOptions pool_options(const ExecOptions& opt) {
   RunOptions ropt;
   ropt.record_trace = opt.record_trace;
-  ropt.pack_cache = opt.pack_cache;
   ropt.cancel = opt.cancel;
   return ropt;
 }

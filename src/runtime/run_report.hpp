@@ -54,14 +54,12 @@ struct RunReport {
   std::int64_t capacity_overflows = 0;
   /// Fault injection / recovery accounting (all zero without a plan).
   FaultStats faults;
-  /// Packed-tile cache counters of this run (compute backend only; all
-  /// zero when the cache is disabled -- see docs/kernels.md). Deltas of
-  /// the process-wide cache over the run, so concurrent runs sharing the
-  /// process cache blur into each other's reports.
+  /// Always zero: tile kernels pack per call into worker scratch and no
+  /// packed-operand cache exists (see docs/kernels.md). Kept only because
+  /// benchmark/hetsched_bench.cpp still reads them.
   std::int64_t pack_hits = 0;
   std::int64_t pack_misses = 0;
   std::int64_t pack_evictions = 0;
-  /// Bytes the cache packed on behalf of this run's fills.
   std::int64_t pack_bytes = 0;
   /// Events the streaming observability layer dropped because a ring was
   /// full (0 when no streamer was attached; see docs/observability.md).

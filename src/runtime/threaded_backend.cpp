@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/numeric_error.hpp"
-#include "kernels/pack_coop.hpp"
 #include "kernels/pack_geometry.hpp"
 #include "kernels/scratch.hpp"
 #include "obs/event.hpp"
@@ -132,7 +131,6 @@ struct FaultRuntime {
 }  // namespace
 
 void ThreadedBackend::drive(RunEngine& engine) {
-  on_drive_start(engine);
   const TaskGraph& g = engine.graph();
   const Platform& calibration = engine.platform();
   Scheduler& sched = engine.scheduler();
@@ -312,17 +310,6 @@ void ThreadedBackend::drive(RunEngine& engine) {
       if (fr && fr->dead[static_cast<std::size_t>(worker)] != 0) break;
       const int task = sched.pop_task(host, worker);
       if (task < 0) {
-        // No ready task: help a packing peer before parking. Assisting
-        // outside the runtime mutex keeps the scheduler path unaffected;
-        // the continue re-polls the queue in case a task became ready
-        // while we packed.
-        if (kernels::pack_work_available()) {
-          lock.unlock();
-          while (kernels::assist_pack_once()) {
-          }
-          lock.lock();
-          continue;
-        }
         if (starved(worker)) {
           const SchedulerError diag = lifecycle.starvation_error(
               sched.name(), num_threads, [&](int id) {
@@ -507,22 +494,10 @@ void ThreadedBackend::drive(RunEngine& engine) {
 
   std::thread service;
   if (fr) service = std::thread(service_loop);
-  // Register this pool as a pack-helper target: a publishing thread nudges
-  // our idle workers through the ready-queue condition variable. Taking mu
-  // inside the callback closes the lost-wakeup window between a worker's
-  // pack_work_available() check and its cv wait. Registered only while
-  // more than one worker exists -- a lone worker can never assist itself.
-  int pack_reg = -1;
-  if (num_threads > 1)
-    pack_reg = kernels::register_pack_helpers([&mu, &cv_work] {
-      std::lock_guard<std::mutex> lock(mu);
-      cv_work.notify_all();
-    });
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(num_threads));
   for (int w = 0; w < num_threads; ++w) threads.emplace_back(worker_loop, w);
   for (std::thread& t : threads) t.join();
-  if (pack_reg >= 0) kernels::unregister_pack_helpers(pack_reg);
   if (fr) {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -559,38 +534,9 @@ void ThreadedBackend::drive(RunEngine& engine) {
   on_drive_end(engine);
 }
 
-void ComputeBackend::on_drive_start(RunEngine& engine) {
-  cache_ = kernels::resolve_pack_cache(engine.options().pack_cache);
-  if (cache_ == nullptr) return;
-  // Blocks routinely reuse addresses across runs (freed tiles land on
-  // recycled heap memory; a reused PlanStorage keeps the very same ones),
-  // so orphan any panel cached for a previous occupant before the first
-  // lookup of the run.
-  for (int h = 0; h < blocks_.layout().num_handles(); ++h)
-    if (const double* b = blocks_.block(h)) cache_->bump_epoch(b);
-  cache_baseline_ = cache_->stats();
-}
-
-void ComputeBackend::on_drive_end(RunEngine& engine) {
-  if (cache_ == nullptr) return;
-  const kernels::PackCacheStats s = cache_->stats();
-  RunReport& res = engine.report();
-  res.pack_hits = static_cast<std::int64_t>(s.hits - cache_baseline_.hits);
-  res.pack_misses =
-      static_cast<std::int64_t>(s.misses - cache_baseline_.misses);
-  res.pack_evictions =
-      static_cast<std::int64_t>(s.evictions - cache_baseline_.evictions);
-  res.pack_bytes =
-      static_cast<std::int64_t>(s.bytes_packed - cache_baseline_.bytes_packed);
-}
-
 bool ComputeBackend::run_task(RunEngine& engine, int, int task,
                               const std::atomic<bool>*, std::string* error) {
   const Task& t = engine.graph().task(task);
-  // Consult the pack cache for this attempt's operand blocks. The DAG
-  // guarantees no concurrent writer of a block being read, so a panel
-  // packed under the epoch observed here stays valid for the whole task.
-  kernels::PackCacheBinding cache_binding(cache_);
   // Region-sized blocking for this attempt: a 240-wide subtile packs
   // 240-deep panels, not the global full-tile geometry. The binding is
   // thread-local, so concurrent workers at other granularities keep their
@@ -605,12 +551,6 @@ bool ComputeBackend::run_task(RunEngine& engine, int, int task,
     *error = e.what();
     return false;
   }
-  // The writes are done (and mark_done not yet published): stale panels
-  // of every written block stop matching before any dependent task can
-  // look up.
-  if (cache_ != nullptr)
-    for (const TaskAccess& a : t.accesses)
-      if (a.mode != AccessMode::Read) cache_->bump_epoch(blocks_.block(a.tile));
   return true;
 }
 

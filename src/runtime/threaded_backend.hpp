@@ -19,7 +19,6 @@
 #include <string>
 
 #include "core/plan_storage.hpp"
-#include "kernels/pack_cache.hpp"
 #include "runtime/backend.hpp"
 
 namespace hetsched {
@@ -29,10 +28,8 @@ class ThreadedBackend : public Backend {
   void drive(RunEngine& engine) final;
 
  protected:
-  /// Substrate setup before the worker pool starts / teardown after it
-  /// joins and the report is assembled (the compute backend resolves its
-  /// pack cache here and writes the cache counters into the report).
-  virtual void on_drive_start(RunEngine&) {}
+  /// Teardown after the worker pool joins and the report is assembled
+  /// (the serving batch backend finalizes its per-job outcomes here).
   virtual void on_drive_end(RunEngine&) {}
 
   /// True when in-flight attempts can be aborted mid-run (sliced sleeps
@@ -59,8 +56,6 @@ class ComputeBackend : public ThreadedBackend {
   const char* error_prefix() const override { return "scheduled executor"; }
 
  protected:
-  void on_drive_start(RunEngine& engine) override;
-  void on_drive_end(RunEngine& engine) override;
   bool cancellable() const override { return false; }
   bool run_task(RunEngine& engine, int worker, int task,
                 const std::atomic<bool>* cancel, std::string* error) override;
@@ -68,9 +63,6 @@ class ComputeBackend : public ThreadedBackend {
 
  private:
   PlanStorage& blocks_;
-  /// Resolved per run from RunOptions::pack_cache (nullptr = disabled).
-  kernels::PackedTileCache* cache_ = nullptr;
-  kernels::PackCacheStats cache_baseline_;
 };
 
 /// Sleeps each task's calibrated duration scaled by `time_scale`.

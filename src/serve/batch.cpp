@@ -64,8 +64,7 @@ void BatchComputeBackend::poison(int job, JobRunOutcome why,
   flag.store(true, std::memory_order_release);
 }
 
-void BatchComputeBackend::on_drive_end(RunEngine& engine) {
-  ComputeBackend::on_drive_end(engine);
+void BatchComputeBackend::on_drive_end(RunEngine&) {
   // Finalize per-job outcomes: a non-poisoned job whose every task ran is
   // kOk; anything else (the batch run aborted under it) stays kIncomplete
   // for the server to retry.

@@ -5,9 +5,7 @@
 // The fused graph is B disjoint copies of the single-job Cholesky DAG
 // (task and tile handles offset per job), so one RunEngine run schedules
 // every job's tasks through one worker pool: graph construction is
-// amortized, workers never idle between jobs, and the packed-tile cache
-// stays warm across the batch -- the small-nb regime where BENCH_runtime
-// shows the cache pays most.
+// amortized and workers never idle between jobs.
 //
 // Failure isolation is per job, not per batch: a job whose CancelToken
 // fires (deadline, shutdown) or whose POTRF hits a non-SPD pivot is

@@ -4,8 +4,7 @@
 // seed naming the deterministic synthetic input, a priority and an
 // optional deadline. Jobs sharing a geometry are fused into one batch
 // task graph per scheduler instance (serve/batch.hpp), which amortizes
-// graph construction and keeps the packed-tile cache hot at small nb --
-// the regime BENCH_runtime shows the cache pays most in.
+// graph construction.
 #pragma once
 
 #include <chrono>

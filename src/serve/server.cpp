@@ -184,7 +184,6 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
   RunOptions ropt;
   ropt.record_trace = false;  // long-lived server: stream, don't accumulate
   ropt.faults = opt_.faults;
-  ropt.pack_cache = opt_.pack_cache;
   ropt.stream = &streamer_;
   ropt.cancel = batch_cancel;
   RunEngine engine(plan.graph, calibration_, *sched, ropt);
@@ -199,8 +198,6 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
   active_batch_cancel_ = nullptr;
   inflight_ = 0;
   queue_.observe_service(b, wall_ms);
-  m_.pack_hits += rep.pack_hits;
-  m_.pack_misses += rep.pack_misses;
   m_.worker_deaths += rep.faults.worker_deaths;
   m_.tasks_requeued += rep.faults.tasks_requeued;
   for (int i = 0; i < b; ++i) {
@@ -429,7 +426,6 @@ std::string FactorizationServer::metrics_json() const {
     std::snprintf(buf, sizeof buf, "%.6g", v);
     return std::string(buf);
   };
-  const double pack_total = static_cast<double>(m.pack_hits + m.pack_misses);
   std::ostringstream os;
   os << "{\"submitted\":" << m.submitted << ",\"admitted\":" << m.admitted
      << ",\"rejected_full\":" << m.rejected_full
@@ -447,10 +443,6 @@ std::string FactorizationServer::metrics_json() const {
      << ",\"latency_ms_max\":" << d(m.latency_ms_max)
      << ",\"queue_ms_mean\":" << d(m.queue_ms_mean)
      << ",\"uptime_s\":" << d(m.uptime_s)
-     << ",\"pack_hits\":" << m.pack_hits
-     << ",\"pack_misses\":" << m.pack_misses << ",\"pack_hit_rate\":"
-     << d(pack_total > 0.0 ? static_cast<double>(m.pack_hits) / pack_total
-                           : 0.0)
      << ",\"worker_deaths\":" << m.worker_deaths
      << ",\"tasks_requeued\":" << m.tasks_requeued
      << ",\"stream_compute_events\":" << m.stream.compute_events

@@ -15,7 +15,7 @@
 //   - graceful drain: stop admitting, finish (or cancel) in-flight and
 //     queued work, flush metric sinks -- the daemon maps SIGTERM to this.
 // Health is one MetricsAggregator-backed snapshot: queue depth,
-// admit/shed/cancel tallies, per-job latency, pack-cache hit rate.
+// admit/shed/cancel tallies, per-job latency.
 #pragma once
 
 #include <chrono>
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "kernels/pack_cache.hpp"
 #include "obs/sink.hpp"
 #include "obs/stream.hpp"
 #include "platform/platform.hpp"
@@ -55,7 +54,6 @@ struct ServerOptions {
   /// Injected into every batch run (tests, CI smoke, chaos drills).
   /// Death times are relative to each batch run's start.
   FaultPlan faults;
-  kernels::PackCacheOptions pack_cache;
 };
 
 /// Point-in-time health snapshot: serving counters plus the aggregated
@@ -82,6 +80,8 @@ struct ServeMetrics {
   double latency_ms_max = 0.0;     ///< any terminal job
   double queue_ms_mean = 0.0;      ///< jobs that started running
   double uptime_s = 0.0;
+  /// Always zero: no packed-operand cache exists (see docs/kernels.md).
+  /// Kept only because benchmark/hetsched_bench.cpp still reads them.
   std::int64_t pack_hits = 0;
   std::int64_t pack_misses = 0;
   std::int64_t worker_deaths = 0;   ///< across batch runs (injected faults)

@@ -2,8 +2,7 @@
 // caller's TileMatrix tiles in place, and every real-execution route --
 // execute_parallel, execute_with_scheduler, the plan executor under a
 // uniform TilePlan and a serving batch -- produces the bit-identical
-// factor of the sequential tiled reference, with the pack cache on and
-// off.
+// factor of the sequential tiled reference.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -27,8 +26,6 @@
 
 namespace hetsched {
 namespace {
-
-using Mode = kernels::PackCacheOptions::Mode;
 
 // ---- borrowing PlanStorage -------------------------------------------------
 
@@ -82,15 +79,15 @@ bool same_lower_tiles(const TileMatrix& x, const TileMatrix& y) {
 }
 
 struct RouteCase {
+  int n;
   int nb;
-  Mode cache;
 };
 
 class ComputeRoutes : public ::testing::TestWithParam<RouteCase> {};
 
 TEST_P(ComputeRoutes, EveryRouteMatchesSequentialBitForBit) {
-  const auto [nb, cache] = GetParam();
-  const int n = 6, threads = 3;
+  const auto [n, nb] = GetParam();
+  const int threads = 3;
   const unsigned seed = 11;
   TileMatrix ref = TileMatrix::synthetic_spd(n, nb, seed);
   ASSERT_TRUE(tiled_cholesky_sequential(ref));
@@ -100,10 +97,8 @@ TEST_P(ComputeRoutes, EveryRouteMatchesSequentialBitForBit) {
   ExecOptions eopt;
   eopt.num_threads = threads;
   eopt.record_trace = false;
-  eopt.pack_cache.mode = cache;
   RunOptions ropt;
   ropt.record_trace = false;
-  ropt.pack_cache.mode = cache;
 
   {
     TileMatrix m = TileMatrix::synthetic_spd(n, nb, seed);
@@ -140,14 +135,17 @@ TEST_P(ComputeRoutes, EveryRouteMatchesSequentialBitForBit) {
   }
 }
 
+// nb = 270 is deeper than the default kc (256) and taller than mc (128)
+// and no multiple of kMR or kNR: every GEMM, SYRK and TRSM packs several
+// depth slices and row blocks per call, with ragged edge panels, through
+// each worker's own scratch.
 INSTANTIATE_TEST_SUITE_P(
-    NbAndCache, ComputeRoutes,
-    ::testing::Values(RouteCase{40, Mode::kOn}, RouteCase{40, Mode::kOff},
-                      RouteCase{64, Mode::kOn}, RouteCase{64, Mode::kOff},
-                      RouteCase{96, Mode::kOn}, RouteCase{96, Mode::kOff}),
+    Nb, ComputeRoutes,
+    ::testing::Values(RouteCase{6, 40}, RouteCase{6, 64}, RouteCase{6, 96},
+                      RouteCase{5, 270}),
     [](const ::testing::TestParamInfo<RouteCase>& info) {
-      return "nb" + std::to_string(info.param.nb) +
-             (info.param.cache == Mode::kOn ? "_cache_on" : "_cache_off");
+      return "n" + std::to_string(info.param.n) + "_nb" +
+             std::to_string(info.param.nb);
     });
 
 }  // namespace

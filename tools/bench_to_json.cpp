@@ -5,19 +5,12 @@
 // the packed engine, see docs/kernels.md) are tracked per commit without
 // needing google-benchmark's console output to be parsed.
 //
-// Usage: bench_to_json [--quick] [--runtime] [--serving]
-//                      [--kernels-threads] [--bounds] [--out=FILE]
+// Usage: bench_to_json [--quick] [--serving] [--bounds] [--hybrid]
+//                      [--partition] [--out=FILE]
 //   --quick   small tiles + one repetition (used as a ctest smoke test)
-//   --runtime end-to-end execute_parallel grid (tiles x nb, packed-tile
-//             cache on vs off) instead of per-kernel timings; CI uploads
-//             this output as BENCH_runtime.json
-//   --serving FactorizationServer batch-mode sweep (throughput, latency
-//             and pack-cache hit rate per max_batch at small nb); CI
-//             uploads this output as BENCH_serving.json
-//   --kernels-threads  thread-scaling grid (threads x nb) of cache-on
-//             execute_parallel runs through the threaded backend (the
-//             path where idle workers steal cooperative-packing slices);
-//             CI uploads this output as BENCH_kernels_threads.json
+//   --serving FactorizationServer batch-mode sweep (throughput and latency
+//             per max_batch at small nb); CI uploads this output as
+//             BENCH_serving.json
 //   --bounds  bound-model registry grid (models x n_tiles on the no-comm
 //             mirage platform): bound seconds, bound GFLOP/s and the dmdas
 //             makespan / bound ratio per cell; CI uploads this output as
@@ -163,175 +156,10 @@ bool write_json(const std::string& json, const std::string& out_path) {
   return true;
 }
 
-/// End-to-end execute_parallel grid, packed-tile cache on vs off; the run
-/// with the cache on reports the cache's hit rate so CI can watch both the
-/// speedup and the reuse it comes from.
-int run_runtime_bench(bool quick, const std::string& out_path) {
-  struct Point {
-    int tiles;
-    int nb;
-  };
-  const std::vector<Point> grid = quick
-                                      ? std::vector<Point>{{6, 64}, {6, 128}}
-                                      : std::vector<Point>{{16, 64},
-                                                           {16, 96},
-                                                           {16, 192},
-                                                           {8, 480}};
-  const int reps = quick ? 1 : 3;
-  // Clamped to the hardware: oversubscribing a small CI VM would time
-  // context switching, not the runtime.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int threads = static_cast<int>(hw == 0 ? 1 : std::min(4u, hw));
-
-  std::string json = "{\n";
-  json += "  \"tier\": \"";
-  json += kernels::tier_name(kernels::engine_tier());
-  json += "\",\n  \"threads\": " + std::to_string(threads) +
-          ",\n  \"results\": [\n";
-  bool first = true;
-  for (const Point pt : grid) {
-    // One matrix refilled in place per rep: stable tile addresses let
-    // best-of-reps measure the cache's steady state (refills reuse stale
-    // entries' buffers) rather than per-rep cold image allocation.
-    hetsched::TileMatrix m =
-        hetsched::TileMatrix::synthetic_spd(pt.tiles, pt.nb, 42);
-    const hetsched::TaskGraph g = hetsched::build_cholesky_dag(pt.tiles);
-    double bests[2] = {1e300, 1e300};
-    hetsched::RunReport best_reports[2];
-    for (int r = 0; r < reps; ++r) {
-      for (const bool cache_on : {false, true}) {  // interleaved vs drift
-        m.refill_synthetic_spd(42);
-        hetsched::ExecOptions opt;
-        opt.num_threads = threads;
-        opt.record_trace = false;
-        opt.pack_cache.mode = cache_on
-                                  ? kernels::PackCacheOptions::Mode::kOn
-                                  : kernels::PackCacheOptions::Mode::kOff;
-        hetsched::RunReport rep = hetsched::execute_parallel(m, g, opt);
-        if (!rep.success) {
-          std::fprintf(stderr, "bench_to_json: runtime run failed: %s\n",
-                       rep.error.c_str());
-          return 1;
-        }
-        if (rep.makespan_s < bests[cache_on ? 1 : 0]) {
-          bests[cache_on ? 1 : 0] = rep.makespan_s;
-          best_reports[cache_on ? 1 : 0] = std::move(rep);
-        }
-      }
-    }
-    for (const bool cache_on : {false, true}) {
-      const double best = bests[cache_on ? 1 : 0];
-      const hetsched::RunReport& best_report = best_reports[cache_on ? 1 : 0];
-      const double gf = hetsched::gflops(pt.tiles, pt.nb, best);
-      const long long lookups =
-          best_report.pack_hits + best_report.pack_misses;
-      const double hit_rate =
-          lookups > 0 ? static_cast<double>(best_report.pack_hits) /
-                            static_cast<double>(lookups)
-                      : 0.0;
-      char row[320];
-      std::snprintf(row, sizeof(row),
-                    "%s    {\"tiles\": %d, \"nb\": %d, \"cache\": \"%s\", "
-                    "\"seconds\": %.6e, \"gflops\": %.3f, "
-                    "\"pack_hits\": %lld, \"pack_misses\": %lld, "
-                    "\"hit_rate\": %.4f}",
-                    first ? "" : ",\n", pt.tiles, pt.nb,
-                    cache_on ? "on" : "off", best, gf,
-                    static_cast<long long>(best_report.pack_hits),
-                    static_cast<long long>(best_report.pack_misses),
-                    hit_rate);
-      json += row;
-      first = false;
-    }
-  }
-  json += "\n  ]\n}\n";
-  return write_json(json, out_path) ? 0 : 1;
-}
-
-/// Thread-scaling grid: cache-on execute_parallel runs at 1/2/4/8 worker
-/// threads so CI tracks how the threaded backend scales. This is also the
-/// path where idle workers steal cooperative-packing slices, so regressions
-/// in the pack-assist protocol show up here as lost scaling. Thread counts
-/// above the hardware are still measured (flagged via "oversubscribed") —
-/// on a small CI VM the 8-thread row documents the ceiling, not a speedup.
-int run_kernels_threads_bench(bool quick, const std::string& out_path) {
-  struct Point {
-    int tiles;
-    int nb;
-  };
-  const std::vector<Point> grid = quick
-                                      ? std::vector<Point>{{6, 64}}
-                                      : std::vector<Point>{{16, 64},
-                                                           {16, 96},
-                                                           {16, 192}};
-  const std::vector<int> thread_counts = quick ? std::vector<int>{1, 2}
-                                               : std::vector<int>{1, 2, 4, 8};
-  const int reps = quick ? 1 : 3;
-  const unsigned hw = std::thread::hardware_concurrency();
-
-  std::string json = "{\n";
-  json += "  \"tier\": \"";
-  json += kernels::tier_name(kernels::engine_tier());
-  json += "\",\n  \"hardware_threads\": " +
-          std::to_string(hw == 0 ? 1 : hw) + ",\n  \"results\": [\n";
-  bool first = true;
-  for (const Point pt : grid) {
-    hetsched::TileMatrix m =
-        hetsched::TileMatrix::synthetic_spd(pt.tiles, pt.nb, 42);
-    const hetsched::TaskGraph g = hetsched::build_cholesky_dag(pt.tiles);
-    for (const int threads : thread_counts) {
-      double best = 1e300;
-      hetsched::RunReport best_report;
-      for (int r = 0; r < reps; ++r) {
-        m.refill_synthetic_spd(42);
-        hetsched::ExecOptions opt;
-        opt.num_threads = threads;
-        opt.record_trace = false;
-        opt.pack_cache.mode = kernels::PackCacheOptions::Mode::kOn;
-        hetsched::RunReport rep = hetsched::execute_parallel(m, g, opt);
-        if (!rep.success) {
-          std::fprintf(stderr, "bench_to_json: threads run failed: %s\n",
-                       rep.error.c_str());
-          return 1;
-        }
-        if (rep.makespan_s < best) {
-          best = rep.makespan_s;
-          best_report = std::move(rep);
-        }
-      }
-      const double gf = hetsched::gflops(pt.tiles, pt.nb, best);
-      const long long lookups = best_report.pack_hits + best_report.pack_misses;
-      const double hit_rate =
-          lookups > 0 ? static_cast<double>(best_report.pack_hits) /
-                            static_cast<double>(lookups)
-                      : 0.0;
-      char row[320];
-      std::snprintf(row, sizeof(row),
-                    "%s    {\"tiles\": %d, \"nb\": %d, \"threads\": %d, "
-                    "\"oversubscribed\": %s, \"seconds\": %.6e, "
-                    "\"gflops\": %.3f, \"pack_hits\": %lld, "
-                    "\"pack_misses\": %lld, \"hit_rate\": %.4f}",
-                    first ? "" : ",\n", pt.tiles, pt.nb, threads,
-                    static_cast<unsigned>(threads) > (hw == 0 ? 1 : hw)
-                        ? "true"
-                        : "false",
-                    best, gf,
-                    static_cast<long long>(best_report.pack_hits),
-                    static_cast<long long>(best_report.pack_misses), hit_rate);
-      json += row;
-      first = false;
-    }
-  }
-  json += "\n  ]\n}\n";
-  return write_json(json, out_path) ? 0 : 1;
-}
-
 /// Batch-mode serving sweep: one FactorizationServer per max_batch value,
 /// fed the same set of small-geometry jobs. Fusing more jobs per batch
-/// amortizes graph construction and keeps the packed-tile cache warm (the
-/// nb = 64..96 regime BENCH_runtime shows the cache pays most in), so the
-/// sweep reports throughput, mean latency and the cache hit rate side by
-/// side per batch size.
+/// amortizes graph construction, so the sweep reports throughput and mean
+/// latency side by side per batch size.
 int run_serving_bench(bool quick, const std::string& out_path) {
   const int tiles = quick ? 5 : 8;
   const int jobs = quick ? 8 : 32;
@@ -389,23 +217,15 @@ int run_serving_bench(bool quick, const std::string& out_path) {
       const hetsched::serve::ServeMetrics m = server.metrics();
       server.shutdown(
           hetsched::serve::FactorizationServer::Shutdown::kGraceful);
-      const long long lookups = m.pack_hits + m.pack_misses;
-      const double hit_rate =
-          lookups > 0 ? static_cast<double>(m.pack_hits) /
-                            static_cast<double>(lookups)
-                      : 0.0;
-      char row[384];
+      char row[320];
       std::snprintf(row, sizeof(row),
                     "%s    {\"tiles\": %d, \"nb\": %d, \"max_batch\": %d, "
                     "\"batches\": %lld, \"seconds\": %.6e, "
-                    "\"jobs_per_s\": %.3f, \"latency_ms_mean\": %.3f, "
-                    "\"pack_hits\": %lld, \"pack_misses\": %lld, "
-                    "\"hit_rate\": %.4f}",
+                    "\"jobs_per_s\": %.3f, \"latency_ms_mean\": %.3f}",
                     first ? "" : ",\n", tiles, nb, max_batch,
                     static_cast<long long>(m.batches), secs,
                     secs > 0.0 ? static_cast<double>(jobs) / secs : 0.0,
-                    m.latency_ms_mean, static_cast<long long>(m.pack_hits),
-                    static_cast<long long>(m.pack_misses), hit_rate);
+                    m.latency_ms_mean);
       json += row;
       first = false;
     }
@@ -571,9 +391,7 @@ int run_partition_bench(bool quick, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool runtime = false;
   bool serving = false;
-  bool kernels_threads = false;
   bool bounds_grid = false;
   bool hybrid_grid = false;
   bool partition_grid = false;
@@ -581,12 +399,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--runtime") == 0) {
-      runtime = true;
     } else if (std::strcmp(argv[i], "--serving") == 0) {
       serving = true;
-    } else if (std::strcmp(argv[i], "--kernels-threads") == 0) {
-      kernels_threads = true;
     } else if (std::strcmp(argv[i], "--bounds") == 0) {
       bounds_grid = true;
     } else if (std::strcmp(argv[i], "--hybrid") == 0) {
@@ -597,9 +411,8 @@ int main(int argc, char** argv) {
       out_path = argv[i] + 6;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--runtime] [--serving] "
-                   "[--kernels-threads] [--bounds] [--hybrid] [--partition] "
-                   "[--out=FILE]\n",
+                   "usage: %s [--quick] [--serving] [--bounds] [--hybrid] "
+                   "[--partition] [--out=FILE]\n",
                    argv[0]);
       return 2;
     }
@@ -607,9 +420,7 @@ int main(int argc, char** argv) {
   if (partition_grid) return run_partition_bench(quick, out_path);
   if (hybrid_grid) return run_hybrid_bench(quick, out_path);
   if (bounds_grid) return run_bounds_bench(quick, out_path);
-  if (kernels_threads) return run_kernels_threads_bench(quick, out_path);
   if (serving) return run_serving_bench(quick, out_path);
-  if (runtime) return run_runtime_bench(quick, out_path);
 
   const std::vector<int> sizes =
       quick ? std::vector<int>{64, 192} : std::vector<int>{192, 480, 960};

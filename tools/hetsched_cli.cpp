@@ -12,9 +12,8 @@
 //                         [--memory-tiles=M] [--trace] [--bounds=LIST]
 //                         [--trace-stream=FILE] [--metrics-interval=S]
 //   hetsched_cli exec     --tiles=N [--nb=B] [--threads=T] [--seed=S]
-//                         [--pack-cache=on|off|MiB] [--kernel-tier=generic|
-//                         avx2] [--deadline-ms=D] [--trace] [--json]
-//                         [--bounds=LIST]
+//                         [--kernel-tier=generic|avx2] [--deadline-ms=D]
+//                         [--trace] [--json] [--bounds=LIST]
 //   hetsched_cli submit   --socket=PATH [--count=N] [--tiles=N] [--nb=B]
 //                         [--seed=S] [--priority=P] [--deadline-ms=D]
 //                         [--wait] [--metrics] [--drain] [--ping]
@@ -101,7 +100,6 @@ struct Args {
   // Real execution (the `exec` command) and kernel knobs.
   int threads = 4;
   int nb = 256;
-  std::string pack_cache;   ///< "" (default) | "on" | "off" | capacity MiB
   std::string kernel_tier;  ///< "" (auto) | "generic" | "avx2"
   // Cooperative deadline (exec / faults): abort at a task boundary after
   // this many wall-clock milliseconds (0 = none). Exit code 6 when it fires.
@@ -132,7 +130,7 @@ struct Args {
       "            --json emits the report as JSON\n"
       "  exec      factorize a random SPD tiled matrix for real on a\n"
       "            thread pool (the compute backend) and report wall-clock\n"
-      "            GFLOP/s plus packed-tile cache counters\n"
+      "            GFLOP/s\n"
       "  submit    client of a running hetsched_serve daemon: submit jobs\n"
       "            over its Unix socket (--socket=PATH), optionally --wait\n"
       "            for results, fetch --metrics, ask it to --drain or\n"
@@ -142,9 +140,6 @@ struct Args {
       "  --deadline-ms=D          abort cooperatively once D ms of wall\n"
       "                           clock elapse (exit code 6); also accepted\n"
       "                           by `faults`\n"
-      "  --pack-cache=on|off|MiB  packed-tile cache policy: force on/off or\n"
-      "                           set capacity in MiB (default: follow the\n"
-      "                           HETSCHED_PACK_CACHE env, on when unset)\n"
       "  --kernel-tier=generic|avx2  force the micro-kernel tier (default:\n"
       "                           best supported, or HETSCHED_KERNEL_TIER)\n"
       "\n"
@@ -256,7 +251,6 @@ Args parse(int argc, char** argv) {
     else if (parse_flag(arg, "threads", &v)) a.threads = std::atoi(v.c_str());
     else if (parse_flag(arg, "nb", &v)) a.nb = std::atoi(v.c_str());
     else if (parse_flag(arg, "tile-plan", &v)) a.tile_plan = v;
-    else if (parse_flag(arg, "pack-cache", &v)) a.pack_cache = v;
     else if (parse_flag(arg, "kernel-tier", &v)) a.kernel_tier = v;
     else if (parse_flag(arg, "trace-stream", &v)) a.trace_stream = v;
     else if (parse_flag(arg, "bounds", &v)) a.bounds_list = v;
@@ -293,24 +287,6 @@ Args parse(int argc, char** argv) {
   if (a.deadline_ms < 0.0) usage("--deadline-ms must be non-negative");
   if (a.count <= 0) usage("--count must be positive");
   return a;
-}
-
-/// --pack-cache=on|off|MiB -> the runtime's cache policy knob. The
-/// default-constructed options follow the HETSCHED_PACK_CACHE environment.
-kernels::PackCacheOptions parse_pack_cache(const Args& a) {
-  kernels::PackCacheOptions opt;
-  if (a.pack_cache.empty()) return opt;
-  if (a.pack_cache == "on") {
-    opt.mode = kernels::PackCacheOptions::Mode::kOn;
-  } else if (a.pack_cache == "off") {
-    opt.mode = kernels::PackCacheOptions::Mode::kOff;
-  } else {
-    const int mib = std::atoi(a.pack_cache.c_str());
-    if (mib <= 0) usage("--pack-cache takes on, off or a capacity in MiB");
-    opt.mode = kernels::PackCacheOptions::Mode::kOn;
-    opt.capacity_mib = static_cast<std::size_t>(mib);
-  }
-  return opt;
 }
 
 /// --kernel-tier=generic|avx2 (an unsupported avx2 request falls back to
@@ -787,7 +763,6 @@ int cmd_exec(const Args& a) {
   ExecOptions opt;
   opt.num_threads = a.threads;
   opt.record_trace = a.trace;
-  opt.pack_cache = parse_pack_cache(a);
   if (a.deadline_ms > 0.0) {
     deadline.set_deadline_after(a.deadline_ms / 1000.0);
     opt.cancel = &deadline;
@@ -799,11 +774,6 @@ int cmd_exec(const Args& a) {
     return failure_exit_code(r);
   }
   const double gf = gflops(a.tiles, a.nb, r.makespan_s);
-  const std::int64_t lookups = r.pack_hits + r.pack_misses;
-  const double hit_rate =
-      lookups > 0 ? static_cast<double>(r.pack_hits) /
-                        static_cast<double>(lookups)
-                  : 0.0;
   const char* tier = kernels::tier_name(kernels::engine_tier());
   // Flat "<model>_bound_s"/"<model>_ratio" pairs appended to the JSON row.
   std::string bound_fields;
@@ -818,15 +788,8 @@ int cmd_exec(const Args& a) {
   if (a.json) {
     std::printf("{\n  \"command\": \"exec\",\n  \"results\": [\n");
     std::printf("    {\"tiles\": %d, \"nb\": %d, \"threads\": %d, "
-                "\"tier\": \"%s\", \"seconds\": %.6f, \"gflops\": %.3f, "
-                "\"pack_hits\": %lld, \"pack_misses\": %lld, "
-                "\"pack_evictions\": %lld, \"pack_bytes\": %lld, "
-                "\"hit_rate\": %.4f%s}\n",
+                "\"tier\": \"%s\", \"seconds\": %.6f, \"gflops\": %.3f%s}\n",
                 a.tiles, a.nb, a.threads, tier, r.makespan_s, gf,
-                static_cast<long long>(r.pack_hits),
-                static_cast<long long>(r.pack_misses),
-                static_cast<long long>(r.pack_evictions),
-                static_cast<long long>(r.pack_bytes), hit_rate,
                 bound_fields.c_str());
     std::printf("  ]\n}\n");
     return 0;
@@ -838,15 +801,6 @@ int cmd_exec(const Args& a) {
     std::printf("bound[%s] (measured local platform): %.4f s -> ratio %.3f\n",
                 bname.c_str(), bound_s,
                 bound_s > 0.0 ? r.makespan_s / bound_s : 0.0);
-  if (lookups > 0)
-    std::printf("pack cache: %lld hits / %lld misses (%.1f%% hit rate), "
-                "%lld evictions, %.1f MiB packed\n",
-                static_cast<long long>(r.pack_hits),
-                static_cast<long long>(r.pack_misses), hit_rate * 100.0,
-                static_cast<long long>(r.pack_evictions),
-                static_cast<double>(r.pack_bytes) / (1024.0 * 1024.0));
-  else
-    std::printf("pack cache: off\n");
   if (a.trace) std::printf("%s", r.trace.ascii_gantt(100).c_str());
   return 0;
 }

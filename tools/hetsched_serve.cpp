@@ -2,14 +2,14 @@
 //
 //   hetsched_serve --socket=PATH [--threads=T] [--max-batch=B]
 //                  [--policy=SPEC] [--max-depth=D] [--max-latency-ms=L]
-//                  [--retries=R] [--seed=S] [--pack-cache=on|off|MiB]
-//                  [--default-deadline-ms=D]
+//                  [--retries=R] [--seed=S] [--default-deadline-ms=D]
 //                  [--kill-worker=W --kill-at=T]
 //
 // --policy takes a SchedulerRegistry spec ("priority", "ws",
 // "hybrid:static_fraction=0.6", ...; --policy=help lists them); it drives
 // every batch run. The default, "priority", preserves the historical
-// central submission-order queue.
+// central submission-order queue. Every numeric flag must be a whole,
+// in-range number ("--threads=2x" or "--max-depth=-1" exit 2 with usage).
 //
 // Serves FactorizationServer over a Unix domain socket with a line
 // protocol (one request line in, one response line out per command):
@@ -35,9 +35,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -65,8 +68,7 @@ void on_terminate(int) {
                "[--max-batch=B]\n"
                "       [--policy=SPEC] (--policy=help lists policies)\n"
                "       [--max-depth=D] [--max-latency-ms=L] [--retries=R]\n"
-               "       [--seed=S] [--pack-cache=on|off|MiB] "
-               "[--default-deadline-ms=D]\n"
+               "       [--seed=S] [--default-deadline-ms=D]\n"
                "       [--kill-worker=W --kill-at=T]\n"
                "       (see the header of tools/hetsched_serve.cpp and "
                "docs/serving.md)\n");
@@ -86,7 +88,35 @@ bool flag(const std::string& arg, const char* name, std::string* out) {
   return true;
 }
 
+// Whole-string integer in [lo, hi]; anything else exits through usage().
+long long int_flag(const char* name, const std::string& v, long long lo,
+                   long long hi) {
+  long long x = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+  if (v.empty() || ec != std::errc() || ptr != end || x < lo || x > hi)
+    usage(("--" + std::string(name) + " takes an integer in [" +
+           std::to_string(lo) + ", " + std::to_string(hi) + "], got '" + v +
+           "'")
+              .c_str());
+  return x;
+}
+
+// Whole-string finite number >= 0; anything else exits through usage().
+double real_flag(const char* name, const std::string& v) {
+  double x = 0.0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+  if (v.empty() || ec != std::errc() || ptr != end || !std::isfinite(x) ||
+      x < 0.0)
+    usage(("--" + std::string(name) +
+           " takes a finite number >= 0, got '" + v + "'")
+              .c_str());
+  return x;
+}
+
 DaemonArgs parse(int argc, char** argv) {
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
   DaemonArgs a;
   int kill_worker = -1;
   double kill_at = 0.0;
@@ -94,45 +124,36 @@ DaemonArgs parse(int argc, char** argv) {
     const std::string arg = argv[i];
     std::string v;
     if (flag(arg, "socket", &v)) a.socket_path = v;
-    else if (flag(arg, "threads", &v)) a.server.threads = std::atoi(v.c_str());
+    else if (flag(arg, "threads", &v))
+      a.server.threads = static_cast<int>(int_flag("threads", v, 1, kIntMax));
     else if (flag(arg, "max-batch", &v))
-      a.server.max_batch = std::atoi(v.c_str());
+      a.server.max_batch =
+          static_cast<int>(int_flag("max-batch", v, 1, kIntMax));
     else if (flag(arg, "policy", &v)) a.server.policy = v;
     else if (flag(arg, "max-depth", &v))
       a.server.admission.max_depth =
-          static_cast<std::size_t>(std::atoi(v.c_str()));
+          static_cast<std::size_t>(int_flag("max-depth", v, 1, kIntMax));
     else if (flag(arg, "max-latency-ms", &v))
-      a.server.admission.max_latency_ms = std::atof(v.c_str());
+      a.server.admission.max_latency_ms = real_flag("max-latency-ms", v);
     else if (flag(arg, "retries", &v))
-      a.server.retry.max_retries = std::atoi(v.c_str());
+      a.server.retry.max_retries =
+          static_cast<int>(int_flag("retries", v, 0, kIntMax));
     else if (flag(arg, "seed", &v))
-      a.server.seed = static_cast<unsigned>(std::atoi(v.c_str()));
+      a.server.seed = static_cast<unsigned>(
+          int_flag("seed", v, 0, std::numeric_limits<unsigned>::max()));
     else if (flag(arg, "default-deadline-ms", &v))
-      a.default_deadline_ms = std::atof(v.c_str());
-    else if (flag(arg, "kill-worker", &v)) kill_worker = std::atoi(v.c_str());
-    else if (flag(arg, "kill-at", &v)) kill_at = std::atof(v.c_str());
-    else if (flag(arg, "pack-cache", &v)) {
-      if (v == "on") {
-        a.server.pack_cache.mode = kernels::PackCacheOptions::Mode::kOn;
-      } else if (v == "off") {
-        a.server.pack_cache.mode = kernels::PackCacheOptions::Mode::kOff;
-      } else {
-        const int mib = std::atoi(v.c_str());
-        if (mib <= 0) usage("--pack-cache takes on, off or a capacity in MiB");
-        a.server.pack_cache.mode = kernels::PackCacheOptions::Mode::kOn;
-        a.server.pack_cache.capacity_mib = static_cast<std::size_t>(mib);
-      }
-    } else {
+      a.default_deadline_ms = real_flag("default-deadline-ms", v);
+    else if (flag(arg, "kill-worker", &v))
+      kill_worker = static_cast<int>(int_flag("kill-worker", v, 0, kIntMax));
+    else if (flag(arg, "kill-at", &v)) kill_at = real_flag("kill-at", v);
+    else
       usage(("unknown option " + arg).c_str());
-    }
   }
   if (a.server.policy == "help" || a.server.policy == "list") {
     std::fputs(sched::scheduler_help_text().c_str(), stdout);
     std::exit(0);
   }
   if (a.socket_path.empty()) usage("missing --socket=PATH");
-  if (a.server.threads <= 0) usage("--threads must be positive");
-  if (a.server.max_batch <= 0) usage("--max-batch must be positive");
   if (kill_worker >= 0)
     a.server.faults.deaths.push_back({kill_worker, kill_at});
   return a;
