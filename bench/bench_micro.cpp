@@ -226,13 +226,17 @@ void BM_KernelPotrf(benchmark::State& state) {
 #define HETSCHED_KERNEL_BENCH(name)                                        \
   BENCHMARK(name<false>)                                                   \
       ->Name(#name "/ref")                                                 \
+      ->Arg(64)                                                            \
       ->Arg(192)                                                           \
+      ->Arg(384)                                                           \
       ->Arg(480)                                                           \
       ->Arg(960)                                                           \
       ->Unit(benchmark::kMillisecond);                                     \
   BENCHMARK(name<true>)                                                    \
       ->Name(#name "/opt")                                                 \
+      ->Arg(64)                                                            \
       ->Arg(192)                                                           \
+      ->Arg(384)                                                           \
       ->Arg(480)                                                           \
       ->Arg(960)                                                           \
       ->Unit(benchmark::kMillisecond)

@@ -46,9 +46,10 @@ std::atomic<Tier>& active_tier() {
 Tier native_tier() { return best_native(); }
 
 // Dispatch contract (see engine.hpp): one relaxed load per kernel call --
-// gemm_packed snapshots the tier once and derives every micro-kernel
-// decision for that call from the snapshot, so a concurrent
-// set_engine_tier() can never hand one call a mixed configuration.
+// each public kernel snapshots the tier once and derives every
+// micro-kernel and base-case choice of that call from the snapshot, so a
+// concurrent set_engine_tier() can never hand one call a mixed
+// configuration.
 Tier engine_tier() { return active_tier().load(std::memory_order_relaxed); }
 
 void set_engine_tier(Tier t) {

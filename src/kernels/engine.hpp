@@ -1,10 +1,12 @@
 // Runtime dispatch of the optimized tile-kernel engine.
 //
-// The packed GEMM macro-kernel is ISA-independent; only the innermost
-// register-tiled micro-kernel exists in three flavours:
+// The packed GEMM macro-kernel and the TRSM/POTRF recursion are
+// ISA-independent; only the innermost register-tiled micro-kernel and the
+// TRSM/POTRF base cases exist in three flavours:
 //
 //   kGeneric : plain C++ written to auto-vectorize at the build's baseline
-//              ISA (SSE2 on x86-64) -- always available, any platform.
+//              ISA (SSE2 on x86-64), with the kernels::ref loops as the
+//              TRSM/POTRF base cases -- always available, any platform.
 //   kAvx2    : AVX2 + FMA intrinsics (8x4 register tile) compiled via a
 //              per-function target attribute, selected only when the CPU
 //              reports both features at runtime (the binary stays runnable
@@ -25,9 +27,10 @@
 //
 // Thread-safety / memory-order contract: the active tier is a single
 // std::atomic<Tier>. set_engine_tier() / reset_engine_tier() may be called
-// concurrently with running kernels -- dispatch loads the tier exactly
-// once per kernel call (memory_order_relaxed), so a racing change selects
-// either the old or the new micro-kernel for that call, never a torn or
+// concurrently with running kernels -- each public kernel call loads the
+// tier exactly once (memory_order_relaxed) and hands that snapshot to
+// every packed GEMM and base case it runs, so a racing change selects
+// either the old or the new tier for the whole call, never a torn or
 // mixed configuration, and both tiers produce results that agree to FMA
 // rounding. A caller that needs its change to be *observed* by kernel
 // calls on other threads must synchronize externally (a thread-pool task

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "kernels/engine.hpp"
 #include "kernels/scratch.hpp"
 
 namespace hetsched::kernels::detail {
@@ -69,17 +68,15 @@ void micro_8x4_generic(int kc, const double* pa, const double* pb,
   for (int x = 0; x < kMR * kNR; ++x) acc[x] = c[x];
 }
 
-void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
-                 const double* b, int ldb, BLayout layout, double* c, int ldc,
-                 bool lower_only) {
+void gemm_packed(Tier tier, int m, int n, int k, double alpha, const double* a,
+                 int lda, const double* b, int ldb, BLayout layout, double* c,
+                 int ldc, bool lower_only) {
   if (m <= 0 || n <= 0 || k <= 0 || alpha == 0.0) return;
-  // One tier snapshot per call (see engine.hpp): every micro-kernel
-  // decision below derives from `tier`, so a concurrent set_engine_tier()
-  // can never hand this call a mixed configuration. The AVX-512 tier
-  // pairs adjacent B micro-panels into 8x8 register tiles and uses the
-  // AVX2 8x4 kernel (always supported where AVX-512 is) for odd trailing
-  // panels and diagonal-straddling lower_only tiles.
-  const Tier tier = engine_tier();
+  // Every micro-kernel decision below derives from the caller's tier
+  // snapshot. The AVX-512 tier pairs adjacent B micro-panels into 8x8
+  // register tiles and uses the AVX2 8x4 kernel (always supported where
+  // AVX-512 is) for odd trailing panels and diagonal-straddling lower_only
+  // tiles.
   const bool wide = tier == Tier::kAvx512;
   const MicroKernel micro =
       tier == Tier::kGeneric ? micro_8x4_generic : micro_8x4_avx2;

@@ -22,10 +22,15 @@
 // kernel is a self-contained call that shares no packed state with any
 // other.
 //
+// The header also declares the per-tier base cases of the recursive TRSM
+// and POTRF (kernels_opt.cpp): at or below kBaseCols columns the solve or
+// factorization runs in registers instead of through the packed engine.
+//
 // This header is internal to src/kernels; the public surface is
 // core/kernels.hpp (tile API) + kernels/engine.hpp (dispatch control).
 #pragma once
 
+#include "kernels/engine.hpp"
 #include "kernels/pack_geometry.hpp"
 
 namespace hetsched::kernels::detail {
@@ -38,10 +43,12 @@ enum class BLayout {
 
 /// C(m x n) += alpha * A(m x k) * op(B) with op per `layout`; `lower_only`
 /// confines stores to C's lower triangle (row >= col). Both operands are
-/// packed through the calling thread's active TileScratch.
-void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
-                 const double* b, int ldb, BLayout layout, double* c, int ldc,
-                 bool lower_only);
+/// packed through the calling thread's active TileScratch. `tier` is the
+/// caller's one snapshot of engine_tier() (see engine.hpp): every
+/// micro-kernel decision of the call derives from it.
+void gemm_packed(Tier tier, int m, int n, int k, double alpha, const double* a,
+                 int lda, const double* b, int ldb, BLayout layout, double* c,
+                 int ldc, bool lower_only);
 
 /// Packs A(mc x kc) (column-major, leading dimension lda) into kMR-tall
 /// row micro-panels: panel ir starts at dst + ir*kc and stores column p of
@@ -74,6 +81,41 @@ void micro_8x4_avx2(int kc, const double* pa, const double* pb, double* acc);
 /// on non-x86 builds.
 void micro_8x8_avx512(int kc, const double* pa, const double* pb0,
                       const double* pb1, double* acc);
+
+/// Widest column block the TRSM/POTRF base cases handle: the recursion
+/// splits until n <= kBaseCols, which keeps one row strip's columns in
+/// vector registers.
+inline constexpr int kBaseCols = 16;
+
+/// Base solve X * L^T = A on an m x n block (n <= kBaseCols), overwriting
+/// A with X. Rows run in 4-wide YMM strips (a row tail through a
+/// zero-padded copy); per element the
+/// update is a fused a -= l(j,p) * x(p) over p = 0..j-1 in order, then a
+/// multiply by 1 / l(j,j), so the result is bitwise equal to
+/// trsm_rlt_base_avx512. Only callable when avx2_supported(); falls back
+/// to ref::trsm_rlt on non-x86 builds.
+void trsm_rlt_base_avx2(int m, int n, const double* l, int ldl, double* a,
+                        int lda);
+
+/// AVX-512F variant of the base solve: 8-wide ZMM row strips with masked
+/// tails, the same per-element FMA order as trsm_rlt_base_avx2. Only
+/// callable when avx512_supported().
+void trsm_rlt_base_avx512(int m, int n, const double* l, int ldl, double* a,
+                          int lda);
+
+/// Base case of the recursive POTRF: lower Cholesky of the n x n block
+/// (n <= kBaseCols) in 4-wide YMM row strips. Per element the updates are
+/// fused a -= l(t,j) * l(i,j) over j = 0..t-1 in order, then the pivot's
+/// sqrt or a multiply by 1 / l(t,t), so the result is bitwise equal to
+/// potrf_base_avx512. Returns 0 or the 1-based failing pivot, with the
+/// pivot test of ref::potrf_unblocked; as there, a failure leaves the
+/// columns before the pivot finished and the rest updated by them. Only
+/// callable when avx2_supported().
+int potrf_base_avx2(int n, double* a, int lda);
+
+/// AVX-512F variant of the POTRF base case (8-wide ZMM row strips, same
+/// per-element order). Only callable when avx512_supported().
+int potrf_base_avx512(int n, double* a, int lda);
 
 /// True when the running CPU reports AVX2 and FMA.
 bool avx2_supported();

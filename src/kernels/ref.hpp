@@ -4,9 +4,9 @@
 // for tiles too small to amortize packing.
 //
 // The m/n/k-shaped helpers (gemm_nt, trsm_rlt, syrk_ln, potrf_unblocked)
-// are exposed as well: the blocked optimized kernels use them for panel
-// factorizations and clean-up blocks, and the tests use them to check
-// arbitrary sub-block shapes.
+// are exposed as well: trsm_rlt and potrf_unblocked are the generic tier's
+// base cases of the recursive TRSM/POTRF, syrk_ln the small-tile SYRK, and
+// the tests use them to check arbitrary sub-block shapes.
 #pragma once
 
 namespace hetsched::kernels::ref {

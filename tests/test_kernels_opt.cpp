@@ -6,6 +6,8 @@
 //     one micro-tile), 63/64/65 (around the kMC/kKC-aligned sizes), 192,
 //     and the paper's 960;
 //   * non-trivial leading dimensions on every operand;
+//   * the recursive TRSM/POTRF around every split and base-case width,
+//     their pivot reporting, and tier agreement (avx2 == avx512 bitwise);
 //   * generic-vs-AVX2 tier agreement through set_engine_tier();
 //   * a full factorization residual through execute_parallel, i.e. the
 //     engine as the executors actually drive it (scratch pool bound).
@@ -13,7 +15,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "core/cholesky_dag.hpp"
@@ -189,6 +193,158 @@ TEST(OptKernelsLd, SyrkTrsmPotrfWithPaddedLd) {
                         static_cast<std::size_t>(j) *
                             static_cast<std::size_t>(ld)],
                   tol);
+}
+
+// ---- Recursive TRSM / POTRF ---------------------------------------------------
+
+// Around every shape the recursion has: each base width 1..16, the first
+// split (17), misaligned halves (24, 31, 33, 127, 270) and the benchmark's
+// tile sizes (64, 384).
+const int kRecursiveSizes[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                               12, 13, 14, 15, 16, 17, 24, 31, 33, 63, 64,
+                               65, 96, 127, 270, 384};
+
+// (nb, ld): ld == nb, or padded rows that no kernel may write.
+class RecursiveSweep
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  int nb() const { return std::get<0>(GetParam()); }
+  int ld() const { return nb() + std::get<1>(GetParam()); }
+};
+
+std::size_t flat(int ld, int i, int j) {
+  return static_cast<std::size_t>(i) +
+         static_cast<std::size_t>(j) * static_cast<std::size_t>(ld);
+}
+double& at(std::vector<double>& t, int ld, int i, int j) {
+  return t[flat(ld, i, j)];
+}
+double at(const std::vector<double>& t, int ld, int i, int j) {
+  return t[flat(ld, i, j)];
+}
+
+TEST_P(RecursiveSweep, TrsmMatchesRef) {
+  const int n = nb(), l_d = ld();
+  auto l = spd_block(n, l_d, 81);
+  ASSERT_EQ(kernels::ref::potrf_info(n, l.data(), l_d), 0);
+  const auto a0 = random_block(l_d, n, 82);
+  auto a_opt = a0, a_ref = a0;
+  kernels::trsm(n, l.data(), l_d, a_opt.data(), l_d);
+  kernels::ref::trsm(n, l.data(), l_d, a_ref.data(), l_d);
+  expect_close(a_opt, a_ref);
+  for (int j = 0; j < n; ++j)
+    for (int i = n; i < l_d; ++i)
+      ASSERT_EQ(at(a_opt, l_d, i, j), at(a0, l_d, i, j))
+          << "padding row " << i << " of column " << j;
+}
+
+TEST_P(RecursiveSweep, PotrfMatchesRef) {
+  const int n = nb(), l_d = ld();
+  auto w0 = spd_block(n, l_d, 83);
+  // Mark the padding rows and strict upper triangle: the factorization
+  // must leave both bit-for-bit as they were.
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < j; ++i) at(w0, l_d, i, j) = 1e300;
+    for (int i = n; i < l_d; ++i) at(w0, l_d, i, j) = -7.0;
+  }
+  auto w_opt = w0, w_ref = w0;
+  ASSERT_EQ(kernels::potrf_info(n, w_opt.data(), l_d), 0);
+  ASSERT_EQ(kernels::ref::potrf_info(n, w_ref.data(), l_d), 0);
+  double scale = 0.0;
+  for (int j = 0; j < n; ++j)
+    for (int i = j; i < n; ++i)
+      scale = std::max(scale, std::abs(at(w_ref, l_d, i, j)));
+  const double tol = 1e-10 * (1.0 + scale);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < l_d; ++i) {
+      if (i >= j && i < n)
+        ASSERT_NEAR(at(w_opt, l_d, i, j), at(w_ref, l_d, i, j), tol)
+            << "(" << i << "," << j << ")";
+      else
+        ASSERT_EQ(at(w_opt, l_d, i, j), at(w0, l_d, i, j))
+            << "untouched (" << i << "," << j << ")";
+    }
+}
+
+// Runs TRSM and POTRF at one tier on copies of the same operands.
+struct TierResult {
+  std::vector<double> trsm, potrf;
+  int info = 0;
+};
+
+TierResult run_solves_at_tier(kernels::Tier t, int n, int l_d) {
+  auto l = spd_block(n, l_d, 84);
+  EXPECT_EQ(kernels::ref::potrf_info(n, l.data(), l_d), 0);
+  TierResult r{random_block(l_d, n, 85), spd_block(n, l_d, 86), 0};
+  kernels::set_engine_tier(t);
+  kernels::trsm(n, l.data(), l_d, r.trsm.data(), l_d);
+  r.info = kernels::potrf_info(n, r.potrf.data(), l_d);
+  kernels::reset_engine_tier();
+  return r;
+}
+
+TEST_P(RecursiveSweep, Avx2AndAvx512AgreeBitwise) {
+  if (kernels::native_tier() != kernels::Tier::kAvx512)
+    GTEST_SKIP() << "CPU lacks AVX-512F";
+  const TierResult avx2 = run_solves_at_tier(kernels::Tier::kAvx2, nb(), ld());
+  const TierResult avx512 =
+      run_solves_at_tier(kernels::Tier::kAvx512, nb(), ld());
+  // Same recursion, same packed GEMM order, and base cases with the same
+  // per-element FMA sequence: the 8-wide tier is two 4-wide strips.
+  ASSERT_EQ(avx2.info, 0);
+  ASSERT_EQ(avx512.info, 0);
+  for (std::size_t i = 0; i < avx2.trsm.size(); ++i) {
+    ASSERT_EQ(avx512.trsm[i], avx2.trsm[i]) << "trsm flat index " << i;
+    ASSERT_EQ(avx512.potrf[i], avx2.potrf[i]) << "potrf flat index " << i;
+  }
+}
+
+TEST_P(RecursiveSweep, GenericAgreesWithNative) {
+  const TierResult gen =
+      run_solves_at_tier(kernels::Tier::kGeneric, nb(), ld());
+  const TierResult nat = run_solves_at_tier(kernels::native_tier(), nb(), ld());
+  ASSERT_EQ(gen.info, 0);
+  ASSERT_EQ(nat.info, 0);
+  expect_close(nat.trsm, gen.trsm);
+  expect_close(nat.potrf, gen.potrf);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SplitsAndBases, RecursiveSweep,
+    ::testing::Combine(::testing::ValuesIn(kRecursiveSizes),
+                       ::testing::Values(0, 5)));
+
+// potrf_info reports the same 1-based global column as ref::potrf_info for
+// a tile that stops being SPD at column c: before, at and after the first
+// split of the recursion (16 for nb 17, 32 for 64, 192 for 384), plus the
+// first and last columns. A negative diagonal breaks column c outright; a
+// NaN below the diagonal at (c, c - 1) reaches only pivot c.
+TEST(RecursivePotrf, PivotParityWithRef) {
+  for (const int n : {17, 64, 384}) {
+    const int n1 = n == 17 ? 16 : n / 2;
+    for (const int c : {0, n1 - 1, n1, n1 + 1, n - 1}) {
+      for (const bool nan_below : {false, true}) {
+        if (c >= n || (nan_below && c == 0)) continue;
+        auto w = spd_block(n, n, 87);
+        if (nan_below)
+          at(w, n, c, c - 1) = std::numeric_limits<double>::quiet_NaN();
+        else
+          at(w, n, c, c) = -1.0;
+        for (const kernels::Tier t :
+             {kernels::Tier::kGeneric, kernels::Tier::kAvx2,
+              kernels::Tier::kAvx512}) {
+          auto w_opt = w, w_ref = w;
+          kernels::set_engine_tier(t);
+          const int info = kernels::potrf_info(n, w_opt.data(), n);
+          kernels::reset_engine_tier();
+          EXPECT_EQ(kernels::ref::potrf_info(n, w_ref.data(), n), c + 1);
+          EXPECT_EQ(info, c + 1)
+              << "nb " << n << " column " << c << (nan_below ? " NaN" : " <0")
+              << " tier " << kernels::tier_name(t);
+        }
+      }
+    }
+  }
 }
 
 // ---- Dispatch tiers ---------------------------------------------------------
