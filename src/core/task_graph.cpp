@@ -15,7 +15,10 @@ std::string Task::name() const {
   std::string s{to_string(kernel)};
   if (kernel == Kernel::TRSM && j >= 0) s = "TRSML";
   for (const int idx : {i, j, k})
-    if (idx >= 0) s += "_" + std::to_string(idx);
+    if (idx >= 0) {
+      s += '_';
+      s += std::to_string(idx);
+    }
   return s;
 }
 

@@ -4,7 +4,8 @@
 // thread-pool variants forward to them. Argument validation that predates
 // the engine (thread counts, time scale, calibration shape) stays here so
 // the original error messages survive. The plan executor also keeps the
-// last plan's lowered graph and one idle PlanStorage across calls.
+// last plan's lowered graph and one idle PlanStorage (view blocks and
+// journal, never bound) across calls.
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -78,9 +79,10 @@ struct LoweredPlan {
 };
 
 /// The process-wide plan slot: the last returned plan's lowering and one
-/// idle PlanStorage sized for it. A storage above glibc's mmap threshold
-/// is mapped, page-faulted, zeroed and unmapped on every allocation, which
-/// costs as much as a small factorization; the slot keeps one alive.
+/// idle, unbound PlanStorage sized for it. A storage above glibc's mmap
+/// threshold is mapped, page-faulted, zeroed and unmapped on every
+/// allocation, which costs as much as a small factorization; the slot
+/// keeps one alive.
 struct PlanSlot {
   std::mutex mu;
   std::shared_ptr<const LoweredPlan> lowered;
@@ -95,8 +97,10 @@ PlanSlot& plan_slot() {
 /// Checks the slot's storage out for one call when the slot holds `plan`
 /// and its storage is idle; otherwise lowers and allocates privately
 /// (reusing the slot's lowering when only the storage is busy). The
-/// destructor hands the storage back on every exit path: whichever
-/// storage returns last replaces the slot's.
+/// destructor is the call's scope guard: unless the call committed, it
+/// rolls the bound matrix back to its input from the storage's journal;
+/// then it unbinds the storage and hands it back, on every exit path.
+/// Whichever storage returns last replaces the slot's.
 class PlanLease {
  public:
   explicit PlanLease(const TilePlan& plan) {
@@ -112,6 +116,8 @@ class PlanLease {
     if (!storage_) storage_ = std::make_unique<PlanStorage>(lowered_->layout);
   }
   ~PlanLease() {
+    if (!committed_) storage_->rollback();
+    storage_->unbind();
     PlanSlot& slot = plan_slot();
     std::lock_guard<std::mutex> lock(slot.mu);
     std::swap(slot.lowered, lowered_);
@@ -122,11 +128,18 @@ class PlanLease {
   PlanLease& operator=(const PlanLease&) = delete;
 
   const TaskGraph& graph() const { return lowered_->graph; }
-  PlanStorage& storage() { return *storage_; }
+  /// The storage, bound to `a` for the rest of the call.
+  PlanStorage& bind(TileMatrix& a) {
+    storage_->bind(a);
+    return *storage_;
+  }
+  /// Keeps the bound matrix's new contents past the destructor.
+  void commit() { committed_ = true; }
 
  private:
   std::shared_ptr<const LoweredPlan> lowered_;
   std::unique_ptr<PlanStorage> storage_;
+  bool committed_ = false;
 };
 
 }  // namespace
@@ -141,15 +154,15 @@ RunReport execute_plan_with_scheduler(TileMatrix& a, const TilePlan& plan,
     throw std::invalid_argument(
         "execute_plan_with_scheduler: calibration platform must model "
         "exactly num_threads workers");
+  // The run factorizes `a` in place. A failed run, a cancelled one or one
+  // that throws leaves `a` at its input contents: the lease rolls back
+  // every handle written so far unless the report says success.
   PlanLease lease(plan);
-  PlanStorage& storage = lease.storage();
-  storage.import_from(a);
+  PlanStorage& storage = lease.bind(a);
   RunEngine engine(lease.graph(), calibration, sched, opt);
   ComputeBackend backend(storage);
   RunReport report = engine.run(backend);
-  // A failed run leaves `a` at its input contents: the plan blocks hold a
-  // partial factorization nothing downstream should consume.
-  if (report.success) storage.export_to(a);
+  if (report.success) lease.commit();
   return report;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -27,6 +28,25 @@ struct JobSpec {
   /// another task, and one that expires while queued never runs at all.
   double deadline_ms = 0.0;
 };
+
+/// Size caps of one job, fixed and checked in O(1) by
+/// BoundedJobQueue::admit before anything is allocated for the job: a
+/// spec beyond any of them is rejected as kBadSpec. A batch fuses at most
+/// ServerOptions::max_batch jobs, so they also bound one batch graph and
+/// its matrices.
+/// Tasks of the job's Cholesky DAG, total_task_count(tiles) (91 tiles fit,
+/// 92 do not).
+inline constexpr std::int64_t kMaxJobTasks = std::int64_t{1} << 17;
+/// Bytes of the job's lower-triangle tiles (one tile of nb = 4096 fits).
+inline constexpr std::int64_t kMaxJobBytes = std::int64_t{128} << 20;
+/// Deadline, in ms (about 11.6 days; a larger one would overflow the
+/// steady clock's representation when armed).
+inline constexpr double kMaxJobDeadlineMs = 1e9;
+
+/// Whether `spec` is admissible: positive tiles and nb, a deadline in
+/// [0, kMaxJobDeadlineMs] and both size caps kept. No int spec overflows
+/// the check.
+bool valid_job_spec(const JobSpec& spec);
 
 /// Lifecycle of an admitted job. Terminal states are everything except
 /// kQueued / kRunning; a transiently failed attempt goes back to kQueued
@@ -73,7 +93,7 @@ enum class RejectReason {
   kQueueFull, ///< depth limit hit and nothing lower-priority to shed
   kLatency,   ///< estimated queue wait exceeds the latency SLO
   kDraining,  ///< server is draining / stopped
-  kBadSpec,   ///< non-positive tiles/nb or other invalid spec
+  kBadSpec,   ///< non-positive tiles/nb, a size cap exceeded, bad deadline
 };
 
 const char* to_string(RejectReason r);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/flops.hpp"
+
 namespace hetsched::serve {
 
 const char* to_string(JobState s) {
@@ -28,6 +30,18 @@ const char* to_string(RejectReason r) {
   return "?";
 }
 
+bool valid_job_spec(const JobSpec& spec) {
+  if (spec.tiles <= 0 || spec.nb <= 0 || !(spec.deadline_ms >= 0.0) ||
+      !(spec.deadline_ms <= kMaxJobDeadlineMs))
+    return false;
+  // Bytes first, in double: a spec within the byte cap has fewer than 6000
+  // tiles, far inside total_task_count's int64 range.
+  const double t = spec.tiles, nb = spec.nb;
+  return t * (t + 1.0) / 2.0 * nb * nb * sizeof(double) <=
+             static_cast<double>(kMaxJobBytes) &&
+         total_task_count(spec.tiles) <= kMaxJobTasks;
+}
+
 bool BoundedJobQueue::before(const JobPtr& a, const JobPtr& b) const {
   if (a->spec.priority != b->spec.priority)
     return a->spec.priority > b->spec.priority;
@@ -36,8 +50,7 @@ bool BoundedJobQueue::before(const JobPtr& a, const JobPtr& b) const {
 
 BoundedJobQueue::Admission BoundedJobQueue::admit(const JobPtr& job) {
   Admission res;
-  if (job->spec.tiles <= 0 || job->spec.nb <= 0 ||
-      job->spec.deadline_ms < 0.0) {
+  if (!valid_job_spec(job->spec)) {
     res.reason = RejectReason::kBadSpec;
     return res;
   }

@@ -78,7 +78,9 @@ SubmitResult FactorizationServer::submit(const JobSpec& spec) {
       case RejectReason::kBadSpec:
         ++m_.rejected_bad;
         res.message = "invalid job spec (tiles/nb must be positive, "
-                      "deadline_ms non-negative)";
+                      "deadline_ms in [0, 1e9], the job at most " +
+                      std::to_string(kMaxJobTasks) + " tasks and " +
+                      std::to_string(kMaxJobBytes >> 20) + " MiB of tiles)";
         break;
       case RejectReason::kLatency:
         ++m_.rejected_latency;
@@ -161,42 +163,58 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
   }
   lock.unlock();
 
-  const BatchPlan& plan = plan_for(b, tiles, nb);
-  std::vector<TileMatrix> mats;
-  mats.reserve(static_cast<std::size_t>(b));
-  for (const JobPtr& job : batch)
-    mats.push_back(TileMatrix::synthetic_spd(tiles, nb, job->spec.seed));
-  std::vector<TileMatrix*> mat_ptrs(static_cast<std::size_t>(b));
-  std::vector<const CancelToken*> tokens(static_cast<std::size_t>(b));
-  for (int i = 0; i < b; ++i) {
-    mat_ptrs[static_cast<std::size_t>(i)] = &mats[static_cast<std::size_t>(i)];
-    tokens[static_cast<std::size_t>(i)] =
-        &batch[static_cast<std::size_t>(i)]->token;
+  // A batch that cannot run at all (an allocation failure, a policy that
+  // rejects the graph) fails its jobs instead of the dispatcher thread.
+  RunReport rep;
+  std::vector<BatchJobResult> results;
+  std::string aborted;
+  try {
+    const BatchPlan& plan = plan_for(b, tiles, nb);
+    std::vector<TileMatrix> mats;
+    mats.reserve(static_cast<std::size_t>(b));
+    for (const JobPtr& job : batch)
+      mats.push_back(TileMatrix::synthetic_spd(tiles, nb, job->spec.seed));
+    std::vector<TileMatrix*> mat_ptrs(static_cast<std::size_t>(b));
+    std::vector<const CancelToken*> tokens(static_cast<std::size_t>(b));
+    for (int i = 0; i < b; ++i) {
+      mat_ptrs[static_cast<std::size_t>(i)] =
+          &mats[static_cast<std::size_t>(i)];
+      tokens[static_cast<std::size_t>(i)] =
+          &batch[static_cast<std::size_t>(i)]->token;
+    }
+    PlanStorage blocks(mat_ptrs);
+    BatchComputeBackend backend(plan, blocks, std::move(tokens));
+    // Registry-resolved policy per batch (specs are cheap to re-resolve
+    // and graph-dependent schedulers need this batch's plan). The default,
+    // "priority", is the historical central priority queue in submission
+    // order.
+    auto sched = sched::make_scheduler(opt_.policy, plan.graph, calibration_,
+                                       opt_.seed);
+    RunOptions ropt;
+    ropt.record_trace = false;  // long-lived server: stream, don't accumulate
+    ropt.faults = opt_.faults;
+    ropt.stream = &streamer_;
+    ropt.cancel = batch_cancel;
+    RunEngine engine(plan.graph, calibration_, *sched, ropt);
+    rep = engine.run(backend);
+    // Per-policy counters (steals, static-pool hits, ...) land in the
+    // aggregated stream snapshot alongside the event-derived metrics.
+    aggregator_.add_scheduler_stats(rep.scheduler_stats);
+    results = backend.results();
+  } catch (const std::exception& e) {
+    aborted = std::string("batch aborted: ") + e.what();
   }
-  PlanStorage blocks(mat_ptrs);
-  BatchComputeBackend backend(plan, blocks, std::move(tokens));
-  // Registry-resolved policy per batch (specs are cheap to re-resolve and
-  // graph-dependent schedulers need this batch's plan). The default,
-  // "priority", is the historical central priority queue in submission
-  // order.
-  auto sched =
-      sched::make_scheduler(opt_.policy, plan.graph, calibration_, opt_.seed);
-  RunOptions ropt;
-  ropt.record_trace = false;  // long-lived server: stream, don't accumulate
-  ropt.faults = opt_.faults;
-  ropt.stream = &streamer_;
-  ropt.cancel = batch_cancel;
-  RunEngine engine(plan.graph, calibration_, *sched, ropt);
-  const RunReport rep = engine.run(backend);
-  // Per-policy counters (steals, static-pool hits, ...) land in the
-  // aggregated stream snapshot alongside the event-derived metrics.
-  aggregator_.add_scheduler_stats(rep.scheduler_stats);
   const double wall_ms = ms_between(run_start, Clock::now());
-  const std::vector<BatchJobResult> results = backend.results();
 
   lock.lock();
   active_batch_cancel_ = nullptr;
   inflight_ = 0;
+  if (!aborted.empty()) {
+    for (const JobPtr& job : batch)
+      finalize_locked(job, JobState::kFailed, runtime::RunErrorKind::Fault,
+                      aborted);
+    return;
+  }
   queue_.observe_service(b, wall_ms);
   m_.worker_deaths += rep.faults.worker_deaths;
   m_.tasks_requeued += rep.faults.tasks_requeued;

@@ -23,6 +23,7 @@
 #include "sched/dmda.hpp"
 #include "sched/priority_sched.hpp"
 #include "serve/batch.hpp"
+#include "tests/test_util.hpp"
 
 namespace hetsched {
 namespace {
@@ -60,11 +61,95 @@ TEST(BorrowingPlanStorage, RejectsMixedShapesAndMissingMatrices) {
   EXPECT_THROW(PlanStorage(std::vector<TileMatrix*>{}), std::invalid_argument);
 }
 
-TEST(BorrowingPlanStorage, ImportAndExportThrow) {
-  TileMatrix a(3, 8), io(3, 8);
+TEST(BorrowingPlanStorage, BindThrowsAndJournalIsInert) {
+  TileMatrix a = TileMatrix::synthetic_spd(3, 8, 5), io(3, 8);
+  const TileMatrix in = a;
   PlanStorage s(std::vector<TileMatrix*>{&a});
-  EXPECT_THROW(s.import_from(io), std::logic_error);
-  EXPECT_THROW(s.export_to(io), std::logic_error);
+  EXPECT_THROW(s.bind(io), std::logic_error);
+  s.journal(0);
+  a.tile(0, 0)[0] = -1.0;
+  s.rollback();
+  s.unbind();
+  EXPECT_EQ(s.block(0), a.tile(0, 0));
+  EXPECT_EQ(a.tile(0, 0)[0], -1.0);
+  EXPECT_EQ(std::memcmp(a.tile(1, 0), in.tile(1, 0), a.tile_bytes()), 0);
+}
+
+// ---- plan-form PlanStorage -------------------------------------------------
+
+// mixed_plan(3, 16): canonical handles are whole tiles, 8-wide subtiles of
+// cell (1, 1) and 4-wide subtiles of cell (2, 2); the mixed reads need
+// SPLIT and MERGE views.
+TEST(PlanFormStorage, CanonicalHandlesAliasTheBoundTiles) {
+  const TilePlan plan = testutil::mixed_plan(3, 16);
+  ASSERT_EQ(plan.validate(), "");
+  PlanLayout layout;
+  build_cholesky_dag_plan(plan, &layout);
+  PlanStorage s(layout);
+  TileMatrix a(3, 16);
+  int canonical = 0, views = 0;
+  for (int h = 0; h < layout.num_handles(); ++h)
+    if (s.canonical(h)) EXPECT_EQ(s.block(h), nullptr) << "unbound " << h;
+  s.bind(a);
+  for (int h = 0; h < layout.num_handles(); ++h) {
+    const PlanHandle& ph = layout.handles[static_cast<std::size_t>(h)];
+    if (s.canonical(h)) {
+      ++canonical;
+      EXPECT_EQ(s.block(h), a.tile(ph.cell_i, ph.cell_j) + ph.col0 * 16 +
+                                ph.row0)
+          << "handle " << h;
+      EXPECT_EQ(s.block_ld(h), 16);
+    } else if (ph.view) {
+      ++views;
+      ASSERT_NE(s.block(h), nullptr);
+      EXPECT_EQ(s.block_ld(h), ph.nb);
+    } else {
+      EXPECT_EQ(s.block(h), nullptr) << "split base handle " << h;
+    }
+  }
+  EXPECT_GT(views, 0);
+  EXPECT_EQ(canonical, 4 + 3 + 10);  // 4 whole tiles, 2x2 + 4x4 lower
+  s.unbind();
+  for (int h = 0; h < layout.num_handles(); ++h)
+    if (s.canonical(h)) EXPECT_EQ(s.block(h), nullptr) << "handle " << h;
+}
+
+TEST(PlanFormStorage, BindRejectsShapeMismatch) {
+  PlanLayout layout;
+  build_cholesky_dag_plan(testutil::mixed_plan(3, 16), &layout);
+  PlanStorage s(layout);
+  TileMatrix other_tiles(4, 16), other_nb(3, 8);
+  EXPECT_THROW(s.bind(other_tiles), std::invalid_argument);
+  EXPECT_THROW(s.bind(other_nb), std::invalid_argument);
+}
+
+// The journal keeps each handle's contents from its first write on, and
+// rollback restores exactly the journaled handles.
+TEST(PlanFormStorage, RollbackRestoresFirstWriteContents) {
+  PlanLayout layout;
+  build_cholesky_dag_plan(testutil::mixed_plan(3, 16), &layout);
+  PlanStorage s(layout);
+  TileMatrix a = TileMatrix::synthetic_spd(3, 16, 9);
+  const TileMatrix in = a;
+  s.bind(a);
+  for (int h = 0; h < layout.num_handles(); ++h) {
+    if (!s.canonical(h)) continue;
+    s.journal(h);
+    s.block(h)[0] += 1.0;
+    s.journal(h);  // a later writer leaves the saved contents alone
+    s.block(h)[s.block_ld(h) + 1] += 1.0;
+  }
+  s.rollback();
+  for (int i = 0; i < 3; ++i)
+    for (int j = 0; j <= i; ++j)
+      EXPECT_EQ(std::memcmp(a.tile(i, j), in.tile(i, j), a.tile_bytes()), 0)
+          << "tile (" << i << ", " << j << ")";
+  // A rolled-back store journals afresh; unbinding forgets the journal.
+  s.journal(0);
+  a.tile(0, 0)[0] = 7.0;
+  s.unbind();
+  s.rollback();
+  EXPECT_EQ(a.tile(0, 0)[0], 7.0);
 }
 
 // ---- cross-route bit identity ----------------------------------------------

@@ -1,12 +1,17 @@
-// Plan executor: factorizing through execute_plan_parallel (PlanStorage
-// blocks, SPLIT/MERGE repacks, per-region pack geometry) matches the
-// sequential tiled reference, a failed run leaves its input untouched, and
-// reusing the process-wide plan slot never shows in the result -- a warm
-// call, a call after a failure, alternating plans and concurrent callers
-// all produce the bit-identical factor of a cold first call.
+// Plan executor: factorizing through execute_plan_parallel (in place on
+// the caller's tiles, SPLIT/MERGE repacks into view blocks, per-region
+// pack geometry) matches the sequential tiled reference, a failed run --
+// non-SPD pivot, cancellation, exhausted fault budget -- leaves its input
+// bit-identical, and reusing the process-wide plan slot never shows in the
+// result -- a warm call, a call after a failure, alternating plans,
+// concurrent callers and a call after the previous matrix is gone all
+// produce the bit-identical factor of a cold first call.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +20,9 @@
 #include "core/tile_plan.hpp"
 #include "core/tiled_cholesky.hpp"
 #include "exec/plan_executor.hpp"
+#include "platform/calibration.hpp"
+#include "runtime/cancel.hpp"
+#include "sched/priority_sched.hpp"
 #include "tests/test_util.hpp"
 
 namespace hetsched {
@@ -95,7 +103,13 @@ INSTANTIATE_TEST_SUITE_P(Plans, PlanExecutorSweep,
                                            PlanExecCase{3, 32, 1},
                                            PlanExecCase{2, 32, 2},
                                            PlanExecCase{5, 16, -1},
-                                           PlanExecCase{4, 24, 1}));
+                                           PlanExecCase{4, 24, 1},
+                                           // 24- and 12-wide subtiles, odd
+                                           // against the kernels' 16-wide
+                                           // base cases and 8-wide strips.
+                                           PlanExecCase{3, 48, 1},
+                                           PlanExecCase{2, 48, 2},
+                                           PlanExecCase{4, 48, -1}));
 
 TEST(PlanExecutor, NonSpdFailureLeavesInputUntouched) {
   const int n = 3, nb = 16;
@@ -175,6 +189,100 @@ TEST(PlanReuse, ConcurrentCallersSamePlan) {
   for (std::thread& c : callers) c.join();
   for (int t = 0; t < kCallers; ++t)
     EXPECT_EQ(matches[static_cast<std::size_t>(t)], kCalls) << "caller " << t;
+}
+
+/// The central priority queue that fires `token` when it hands out its
+/// `after`-th task: the run stops at the next task boundary, after that
+/// many tasks have started writing in place.
+class CancelAfter final : public Scheduler {
+ public:
+  CancelAfter(CancelToken& token, int after) : token_(token), left_(after) {}
+  void on_task_ready(SchedulerHost& host, int task) override {
+    inner_.on_task_ready(host, task);
+  }
+  int pop_task(SchedulerHost& host, int worker) override {
+    const int task = inner_.pop_task(host, worker);
+    if (task >= 0 && --left_ == 0) token_.cancel();
+    return task;
+  }
+  bool central_queue() const override { return true; }
+  std::string name() const override { return "cancel-after"; }
+
+ private:
+  CentralPriorityScheduler inner_;
+  CancelToken& token_;
+  int left_;
+};
+
+TEST(PlanFailure, CancelledCallLeavesInputBitIdentical) {
+  const TilePlan plan = mixed_plan(4, 32);
+  const DenseMatrix a = DenseMatrix::random_spd(4 * 32, 19);
+  const TileMatrix ref = cold_factor(a, plan);
+  const TileMatrix in = TileMatrix::from_dense(a, 4, 32);
+  for (const int after : {1, 25, 60}) {
+    TileMatrix m = in;
+    CancelToken token;
+    CancelAfter sched(token, after);
+    RunOptions opt;
+    opt.cancel = &token;
+    const RunReport rep = execute_plan_with_scheduler(
+        m, plan, homogeneous_platform(2), sched, 2, opt);
+    EXPECT_FALSE(rep.success) << "cancel after " << after;
+    EXPECT_EQ(rep.error_kind, RunErrorKind::Cancelled);
+    EXPECT_GE(rep.trace.compute().size(), static_cast<std::size_t>(after));
+    EXPECT_TRUE(same_lower_tiles(m, in)) << "cancel after " << after;
+  }
+  expect_factor(a, plan, ref);
+}
+
+TEST(PlanFailure, ExhaustedFaultBudgetLeavesInputBitIdentical) {
+  const TilePlan plan = mixed_plan(4, 32);
+  const DenseMatrix a = DenseMatrix::random_spd(4 * 32, 23);
+  const TileMatrix ref = cold_factor(a, plan);
+  const TileMatrix in = TileMatrix::from_dense(a, 4, 32);
+  for (const unsigned seed : {1u, 2u, 3u}) {
+    TileMatrix m = in;
+    CentralPriorityScheduler sched;
+    RunOptions opt;
+    opt.faults.transient_failure_prob = 0.05;
+    opt.faults.retry.max_retries = 0;
+    opt.faults.seed = seed;
+    const RunReport rep = execute_plan_with_scheduler(
+        m, plan, homogeneous_platform(2), sched, 2, opt);
+    EXPECT_FALSE(rep.success) << "seed " << seed;
+    EXPECT_EQ(rep.error_kind, RunErrorKind::Fault);
+    EXPECT_TRUE(same_lower_tiles(m, in)) << "seed " << seed;
+  }
+  expect_factor(a, plan, ref);
+}
+
+// The slot keeps its storage between calls but no pointer into the
+// matrix of the last one: factoring a second matrix after the first is
+// gone reads and writes only the second (the sanitizer build catches a
+// dangling block pointer).
+TEST(PlanReuse, PreviousMatrixGone) {
+  const TilePlan plan = mixed_plan(4, 32);
+  const DenseMatrix a = DenseMatrix::random_spd(4 * 32, 29);
+  const DenseMatrix b = DenseMatrix::random_spd(4 * 32, 37);
+  const TileMatrix ref_b = cold_factor(b, plan);
+  {
+    auto first = std::make_unique<TileMatrix>(TileMatrix::from_dense(a, 4, 32));
+    ASSERT_TRUE(factorize(*first, plan).success);
+  }
+  expect_factor(b, plan, ref_b);
+}
+
+TEST(PlanExecutor, RejectsShapeMismatch) {
+  TileMatrix m = TileMatrix::from_dense(DenseMatrix::random_spd(4 * 16, 3),
+                                        4, 16);
+  const TileMatrix in = m;
+  ExecOptions opt;
+  opt.num_threads = 2;
+  EXPECT_THROW(execute_plan_parallel(m, mixed_plan(4, 32), opt),
+               std::invalid_argument);
+  EXPECT_THROW(execute_plan_parallel(m, mixed_plan(3, 16), opt),
+               std::invalid_argument);
+  EXPECT_TRUE(same_lower_tiles(m, in));
 }
 
 }  // namespace

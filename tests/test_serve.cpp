@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/cholesky_dag.hpp"
+#include "core/flops.hpp"
 #include "core/tile_matrix.hpp"
 #include "core/tiled_cholesky.hpp"
 #include "exec/parallel_executor.hpp"
@@ -94,6 +96,36 @@ TEST(JobQueue, RejectsBadSpec) {
   const auto res = q.admit(make_job(1, 0, /*tiles=*/0));
   EXPECT_FALSE(res.admitted);
   EXPECT_EQ(res.reason, RejectReason::kBadSpec);
+}
+
+// Specs just past a cap are rejected by the O(1) check alone: the queue
+// allocates nothing for a job's graph or matrices, so the sizes are safe
+// to pass here.
+TEST(JobQueue, RejectsSpecsJustAboveTheSizeCaps) {
+  BoundedJobQueue q(AdmissionControl{});
+  ASSERT_LE(total_task_count(91), serve::kMaxJobTasks);
+  ASSERT_GT(total_task_count(92), serve::kMaxJobTasks);
+  EXPECT_TRUE(q.admit(make_job(1, 0, /*tiles=*/91, /*nb=*/1)).admitted);
+  EXPECT_EQ(q.admit(make_job(2, 0, 92, 1)).reason, RejectReason::kBadSpec);
+  // 4096^2 doubles are exactly kMaxJobBytes.
+  EXPECT_TRUE(q.admit(make_job(3, 0, 1, 4096)).admitted);
+  EXPECT_EQ(q.admit(make_job(4, 0, 1, 4097)).reason, RejectReason::kBadSpec);
+  EXPECT_EQ(q.admit(make_job(5, 0, 2, 3000)).reason, RejectReason::kBadSpec);
+  // Specs whose size overflows int arithmetic.
+  const int kIntMax = std::numeric_limits<int>::max();
+  EXPECT_EQ(q.admit(make_job(6, 0, 65536, 1)).reason, RejectReason::kBadSpec);
+  EXPECT_EQ(q.admit(make_job(7, 0, kIntMax, kIntMax)).reason,
+            RejectReason::kBadSpec);
+  EXPECT_EQ(q.admit(make_job(8, 0, 5000, 64)).reason, RejectReason::kBadSpec);
+  for (const double deadline :
+       {-1.0, serve::kMaxJobDeadlineMs * 2.0,
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    JobPtr job = make_job(9);
+    job->spec.deadline_ms = deadline;
+    EXPECT_EQ(q.admit(job).reason, RejectReason::kBadSpec) << deadline;
+  }
+  EXPECT_EQ(q.depth(), 2u);
 }
 
 TEST(JobQueue, LatencySloRejectsOnceServiceEstimateExists) {
@@ -413,6 +445,34 @@ TEST(Server, CompletesSubmittedJobsAndCountsThem) {
   server.shutdown(FactorizationServer::Shutdown::kGraceful);
   const std::string json = server.metrics_json();
   EXPECT_NE(json.find("\"completed\":10"), std::string::npos) << json;
+}
+
+// A batch that throws before it runs (here: a policy option whose value
+// only fails when the per-batch scheduler is built) fails its jobs with a
+// structured state; the dispatcher thread survives and shuts down cleanly.
+TEST(Server, BatchThatCannotRunFailsItsJobs) {
+  ServerOptions opt;
+  opt.threads = 2;
+  opt.policy = "hybrid:static_fraction=lots";
+  FactorizationServer server(opt);
+  server.start();
+  JobSpec spec;
+  spec.tiles = 3;
+  spec.nb = 16;
+  std::vector<int> ids;
+  for (int i = 0; i < 3; ++i) {
+    const auto res = server.submit(spec);
+    ASSERT_TRUE(res.admitted) << res.message;
+    ids.push_back(res.id);
+  }
+  for (const int id : ids) {
+    const auto s = server.wait(id);
+    EXPECT_EQ(s.state, JobState::kFailed);
+    EXPECT_EQ(s.error_kind, runtime::RunErrorKind::Fault);
+    EXPECT_NE(s.error.find("batch aborted"), std::string::npos) << s.error;
+  }
+  EXPECT_EQ(server.metrics().failed, 3);
+  server.shutdown(FactorizationServer::Shutdown::kGraceful);
 }
 
 TEST(Server, DrainRejectsNewWorkAndFinishesQueued) {

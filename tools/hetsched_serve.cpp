@@ -23,6 +23,9 @@
 //   METRICS       -> one JSON object (FactorizationServer::metrics_json)
 //   DRAIN         -> OK draining          (stop admitting; jobs finish)
 //   PING          -> PONG
+//   anything else -> ERR bad request     (also a SUBMIT/WAIT/STATUS with
+//                                         a wrong word count, a number
+//                                         out of range or trailing junk)
 //
 // SIGTERM / SIGINT trigger a graceful drain: stop accepting connections,
 // stop admitting, let queued + in-flight jobs finish, flush metric sinks,
@@ -42,6 +45,7 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,26 +183,59 @@ std::string job_line(const char* verb, const FactorizationServer::JobStatus& s) 
   return line;
 }
 
-/// One request line -> one response line. Returns false when the
-/// connection should close (unparseable request).
+/// The whitespace-separated words of a request line.
+std::vector<std::string> words(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> out;
+  for (std::string w; in >> w;) out.push_back(w);
+  return out;
+}
+
+/// A whole word as an integer in [lo, hi] (no overflow, no trailing junk).
+bool int_word(const std::string& w, long long lo, long long hi,
+              long long* out) {
+  const char* end = w.data() + w.size();
+  const auto [ptr, ec] = std::from_chars(w.data(), end, *out);
+  return !w.empty() && ec == std::errc() && ptr == end && *out >= lo &&
+         *out <= hi;
+}
+
+/// A whole word as a finite number.
+bool real_word(const std::string& w, double* out) {
+  const char* end = w.data() + w.size();
+  const auto [ptr, ec] = std::from_chars(w.data(), end, *out);
+  return !w.empty() && ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
+/// One request line -> one response line. Malformed requests -- a wrong
+/// word count, a number out of its type's range or with trailing junk --
+/// get "ERR bad request"; well-formed but inadmissible specs (see
+/// serve::valid_job_spec) get a REJECT from the server.
 std::string handle(FactorizationServer& server, double default_deadline_ms,
                    const std::string& req) {
+  constexpr long long kIntMin = std::numeric_limits<int>::min();
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kUintMax = std::numeric_limits<unsigned>::max();
   if (req == "PING") return "PONG";
   if (req == "METRICS") return server.metrics_json();
   if (req == "DRAIN") {
     server.drain();
     return "OK draining";
   }
-  int tiles = 0, nb = 0, priority = 0;
-  unsigned seed = 0;
+  const std::vector<std::string> w = words(req);
+  long long tiles = 0, nb = 0, seed = 0, priority = 0, id = -1;
   double deadline_ms = 0.0;
-  if (std::sscanf(req.c_str(), "SUBMIT %d %d %u %d %lf", &tiles, &nb, &seed,
-                  &priority, &deadline_ms) == 5) {
+  if (w.size() == 6 && w[0] == "SUBMIT" &&
+      int_word(w[1], kIntMin, kIntMax, &tiles) &&
+      int_word(w[2], kIntMin, kIntMax, &nb) &&
+      int_word(w[3], 0, kUintMax, &seed) &&
+      int_word(w[4], kIntMin, kIntMax, &priority) &&
+      real_word(w[5], &deadline_ms)) {
     serve::JobSpec spec;
-    spec.tiles = tiles;
-    spec.nb = nb;
-    spec.seed = seed;
-    spec.priority = priority;
+    spec.tiles = static_cast<int>(tiles);
+    spec.nb = static_cast<int>(nb);
+    spec.seed = static_cast<unsigned>(seed);
+    spec.priority = static_cast<int>(priority);
     spec.deadline_ms = deadline_ms > 0.0 ? deadline_ms : default_deadline_ms;
     const serve::SubmitResult res = server.submit(spec);
     if (!res.admitted)
@@ -209,16 +246,14 @@ std::string handle(FactorizationServer& server, double default_deadline_ms,
     if (res.shed_id >= 0) line += " shed " + std::to_string(res.shed_id);
     return line;
   }
-  int id = -1;
-  if (std::sscanf(req.c_str(), "WAIT %d", &id) == 1) {
-    const FactorizationServer::JobStatus s = server.wait(id);
+  if (w.size() == 2 && (w[0] == "WAIT" || w[0] == "STATUS") &&
+      int_word(w[1], kIntMin, kIntMax, &id)) {
+    const bool wait = w[0] == "WAIT";
+    const FactorizationServer::JobStatus s =
+        wait ? server.wait(static_cast<int>(id))
+             : server.status(static_cast<int>(id));
     if (!s.known) return "ERR unknown job " + std::to_string(id);
-    return job_line("DONE", s);
-  }
-  if (std::sscanf(req.c_str(), "STATUS %d", &id) == 1) {
-    const FactorizationServer::JobStatus s = server.status(id);
-    if (!s.known) return "ERR unknown job " + std::to_string(id);
-    return job_line("STATE", s);
+    return job_line(wait ? "DONE" : "STATE", s);
   }
   return "ERR bad request";
 }
