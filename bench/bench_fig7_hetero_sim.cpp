@@ -12,14 +12,13 @@ int main(int argc, char** argv) {
   e.sizes = paper_sizes();
   e.platform = [](int) { return mirage_platform().without_communication(); };
   e.series = {sim_series("random"), sim_series("dmda"), sim_series("dmdas"),
-              sim_series("alap-slack"), mixed_bound_series()};
+              mixed_bound_series()};
   // Registry yardsticks: a <model>_bnd GFLOP/s column plus the best
   // scheduler's makespan / bound ratio per model.
   e.bound_models = {"mixed", "alap"};
   e.footnote =
       "Expected shape: significant gap between the best scheduler and the\n"
       "mixed bound for small and medium sizes; gap closes near n = 32.\n"
-      "alap-slack should track dmdas closely (same device choice, slack-\n"
-      "ordered queues); the *_ratio columns approach 1 as n grows.";
+      "The *_ratio columns approach 1 as n grows.";
   return run_experiment_main(e, argc, argv);
 }

@@ -33,13 +33,6 @@ int TimingTable::fastest_class(Kernel k) const {
   return best_cls;
 }
 
-double TimingTable::average(Kernel k) const {
-  double sum = 0.0;
-  const int nc = num_classes();
-  for (int c = 0; c < nc; ++c) sum += time(c, k);
-  return nc > 0 ? sum / nc : 0.0;
-}
-
 Platform::Platform(std::vector<ResourceClass> classes, TimingTable timings,
                    BusModel bus, int nb, std::string name)
     : name_(std::move(name)),

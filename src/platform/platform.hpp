@@ -57,8 +57,6 @@ class TimingTable {
   double fastest(Kernel k) const;
   /// Class achieving the fastest time for kernel `k`.
   int fastest_class(Kernel k) const;
-  /// Average execution time of kernel `k` over classes (HEFT-style weight).
-  double average(Kernel k) const;
 
   int num_classes() const noexcept {
     return static_cast<int>(time_.size()) / kNumKernels;

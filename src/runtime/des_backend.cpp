@@ -115,7 +115,7 @@ class DesRun final : public SchedulerHost {
         platform_.worker_time_at(worker, graph_.task(task).kernel,
                                  graph_.task(task).nb);
     lifecycle_.note_queued(task, worker, est);
-    if (opt_.prefetch) prefetch_inputs(task, worker);
+    prefetch_inputs(task, worker);
   }
 
  private:

@@ -1,7 +1,8 @@
 // Knobs of one run through the RunEngine (formerly SimOptions, before the
 // runtime unification): the DES backend consumes every field; the
 // wall-clock backends consume record_trace, faults and stream and ignore
-// the modeling knobs.
+// the modeling knobs. Prefetch is not a knob: the DES always fetches a
+// task's inputs when it is queued on a worker, as StarPU does.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +19,6 @@ class TraceStreamer;
 }
 
 struct RunOptions {
-  /// Issue data prefetches when a task is queued on a worker (StarPU does).
-  bool prefetch = true;
   /// Fixed runtime overhead added to every task duration (seconds).
   double per_task_overhead_s = 0.0;
   /// Coefficient of variation of multiplicative Gaussian noise on task

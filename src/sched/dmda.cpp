@@ -66,27 +66,11 @@ std::vector<int> DmdaScheduler::on_worker_dead(SchedulerHost& host,
 }
 
 int DmdaScheduler::pop_task(SchedulerHost& host, int worker) {
+  (void)host;
   auto& q = queues_[static_cast<std::size_t>(worker)];
   if (q.empty()) return -1;
-  if (!opt_.data_ready) {
-    const int t = q.front();
-    q.pop_front();
-    return t;
-  }
-  // dmdar: among the queued tasks, run the one needing the least transfer
-  // time right now (FIFO tie-break keeps it starvation-free: a task whose
-  // data is resident estimates 0 and leaves in arrival order).
-  auto best = q.begin();
-  double best_cost = host.estimated_transfer_seconds(*best, worker);
-  for (auto it = std::next(q.begin()); it != q.end(); ++it) {
-    const double c = host.estimated_transfer_seconds(*it, worker);
-    if (c < best_cost - 1e-15) {
-      best_cost = c;
-      best = it;
-    }
-  }
-  const int t = *best;
-  q.erase(best);
+  const int t = q.front();
+  q.pop_front();
   return t;
 }
 
@@ -101,13 +85,6 @@ DmdaScheduler make_dmdas(const TaskGraph& g, const Platform& p,
 
 DmdaScheduler make_dmda(WorkerFilter filter) {
   DmdaScheduler::Options opt;
-  opt.filter = std::move(filter);
-  return DmdaScheduler(std::move(opt));
-}
-
-DmdaScheduler make_dmdar(WorkerFilter filter) {
-  DmdaScheduler::Options opt;
-  opt.data_ready = true;
   opt.filter = std::move(filter);
   return DmdaScheduler(std::move(opt));
 }

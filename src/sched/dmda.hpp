@@ -10,11 +10,7 @@
 // task priority (bottom level at fastest times), which makes it the paper's
 // representative of HEFT.
 //
-// dmdar ("... ready") pops, among the queued tasks of a worker, the one
-// whose inputs are closest to being resident on that worker's memory node
-// (fewest estimated transfer seconds), reducing stalls on PCIe.
-//
-// All variants accept a WorkerFilter carrying static knowledge (§V-C3).
+// Both variants accept a WorkerFilter carrying static knowledge (§V-C3).
 #pragma once
 
 #include <deque>
@@ -30,9 +26,6 @@ class DmdaScheduler : public Scheduler {
   struct Options {
     /// Sort worker queues by priority (dmdas) instead of FIFO (dmda).
     bool sorted = false;
-    /// Pop the most data-ready queued task first (dmdar). Mutually
-    /// exclusive with `sorted`.
-    bool data_ready = false;
     /// Per-task priorities; required when sorted (bottom levels).
     std::vector<double> priorities;
     /// Static-knowledge restriction of admissible workers.
@@ -46,10 +39,7 @@ class DmdaScheduler : public Scheduler {
   void on_task_ready(SchedulerHost& host, int task) override;
   std::vector<int> on_worker_dead(SchedulerHost& host, int worker) override;
   int pop_task(SchedulerHost& host, int worker) override;
-  std::string name() const override {
-    if (opt_.sorted) return "dmdas";
-    return opt_.data_ready ? "dmdar" : "dmda";
-  }
+  std::string name() const override { return opt_.sorted ? "dmdas" : "dmda"; }
 
  private:
   double priority_of(int task) const {
@@ -69,8 +59,5 @@ DmdaScheduler make_dmdas(const TaskGraph& g, const Platform& p,
 
 /// Convenience factory for plain dmda with an optional filter.
 DmdaScheduler make_dmda(WorkerFilter filter = {});
-
-/// Convenience factory for dmdar (data-ready pops).
-DmdaScheduler make_dmdar(WorkerFilter filter = {});
 
 }  // namespace hetsched

@@ -117,8 +117,7 @@ void HybridScheduler::select_static_set(const TaskGraph& g,
 
   // Spine key, ascending: ALAP slack (the placement-critical spine) or
   // tile-diagonal distance (the panel neighbourhood, Section V-C's
-  // static part). Ties by descending bottom level, then id, matching
-  // alap-slack's ordering.
+  // static part). Ties by descending bottom level, then id.
   std::vector<double> key(static_cast<std::size_t>(n));
   if (opt_.spine == Options::Spine::kTrsmDist) {
     for (int t = 0; t < n; ++t)

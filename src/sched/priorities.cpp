@@ -19,13 +19,6 @@ std::vector<double> bottom_levels(const TaskGraph& g, Cost&& cost) {
   return bl;
 }
 
-double average_time_at(const Platform& p, Kernel k, int nb) {
-  double sum = 0.0;
-  const int nc = p.num_classes();
-  for (int c = 0; c < nc; ++c) sum += p.class_time_at(c, k, nb);
-  return nc > 0 ? sum / nc : 0.0;
-}
-
 }  // namespace
 
 std::vector<double> bottom_levels_fastest(const TaskGraph& g,
@@ -33,21 +26,9 @@ std::vector<double> bottom_levels_fastest(const TaskGraph& g,
   return bottom_levels(g, [&](const Task& task) { return t.fastest(task.kernel); });
 }
 
-std::vector<double> bottom_levels_average(const TaskGraph& g,
-                                          const TimingTable& t) {
-  return bottom_levels(g, [&](const Task& task) { return t.average(task.kernel); });
-}
-
 std::vector<double> bottom_levels_fastest(const TaskGraph& g,
                                           const Platform& p) {
   return bottom_levels(
       g, [&](const Task& task) { return p.fastest_time_at(task.kernel, task.nb); });
 }
-
-std::vector<double> bottom_levels_average(const TaskGraph& g,
-                                          const Platform& p) {
-  return bottom_levels(
-      g, [&](const Task& task) { return average_time_at(p, task.kernel, task.nb); });
-}
-
 }  // namespace hetsched

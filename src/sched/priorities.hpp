@@ -2,8 +2,7 @@
 //
 // The paper's dmdas uses the bottom level -- the longest path (in execution
 // time) from a task to an exit task -- computed with the *fastest* execution
-// time of each task over the resource classes (Section V-A). The classical
-// HEFT rank uses average times instead; both are provided.
+// time of each task over the resource classes (Section V-A).
 #pragma once
 
 #include <vector>
@@ -17,18 +16,11 @@ namespace hetsched {
 std::vector<double> bottom_levels_fastest(const TaskGraph& g,
                                           const TimingTable& t);
 
-/// Bottom level using the class-average per-kernel time (HEFT upward rank
-/// without communication terms).
-std::vector<double> bottom_levels_average(const TaskGraph& g,
-                                          const TimingTable& t);
-
-/// Mixed-nb aware variants: durations come from Platform::class_time_at
+/// Mixed-nb aware variant: durations come from Platform::fastest_time_at
 /// with each task's own Task::nb, so graphs built from a TilePlan get
-/// correctly scaled priorities. On uniform graphs (every nb == -1) these
-/// produce bit-for-bit the same values as the TimingTable overloads.
+/// correctly scaled priorities. On uniform graphs (every nb == -1) this
+/// produces bit-for-bit the same values as the TimingTable overload.
 std::vector<double> bottom_levels_fastest(const TaskGraph& g,
-                                          const Platform& p);
-std::vector<double> bottom_levels_average(const TaskGraph& g,
                                           const Platform& p);
 
 }  // namespace hetsched

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "sched/alap_sched.hpp"
 #include "sched/dmda.hpp"
 #include "sched/eager_sched.hpp"
 #include "sched/hybrid_sched.hpp"
@@ -185,60 +184,25 @@ class PriorityFactory final : public SchedulerFactory {
 
 class DmdaFamilyFactory final : public SchedulerFactory {
  public:
-  enum class Variant { kPlain, kReady, kSorted };
-  explicit DmdaFamilyFactory(Variant v) : variant_(v) {}
-  std::string name() const override {
-    switch (variant_) {
-      case Variant::kReady: return "dmdar";
-      case Variant::kSorted: return "dmdas";
-      default: return "dmda";
-    }
-  }
+  explicit DmdaFamilyFactory(bool sorted) : sorted_(sorted) {}
+  std::string name() const override { return sorted_ ? "dmdas" : "dmda"; }
   std::string description() const override {
-    switch (variant_) {
-      case Variant::kReady:
-        return "dmda popping the most data-ready queued task first";
-      case Variant::kSorted:
-        return "dmda with bottom-level-sorted queues (the paper's "
-               "HEFT-like policy)";
-      default:
-        return "min-estimated-completion-time commit at push, FIFO pop";
-    }
+    return sorted_ ? "dmda with bottom-level-sorted queues (the paper's "
+                     "HEFT-like policy)"
+                   : "min-estimated-completion-time commit at push, FIFO pop";
   }
   std::unique_ptr<Scheduler> create(const SchedulerSpec&,
                                     const SchedulerContext& ctx)
       const override {
-    switch (variant_) {
-      case Variant::kReady:
-        return std::make_unique<DmdaScheduler>(make_dmdar(ctx.filter));
-      case Variant::kSorted: {
-        const TaskGraph& g = require_graph(ctx, "dmdas");
-        const Platform& p = require_platform(ctx, "dmdas");
-        return std::make_unique<DmdaScheduler>(
-            make_dmdas(g, p, ctx.filter));
-      }
-      default:
-        return std::make_unique<DmdaScheduler>(make_dmda(ctx.filter));
-    }
+    if (!sorted_)
+      return std::make_unique<DmdaScheduler>(make_dmda(ctx.filter));
+    const TaskGraph& g = require_graph(ctx, "dmdas");
+    const Platform& p = require_platform(ctx, "dmdas");
+    return std::make_unique<DmdaScheduler>(make_dmdas(g, p, ctx.filter));
   }
 
  private:
-  Variant variant_;
-};
-
-class AlapSlackFactory final : public SchedulerFactory {
- public:
-  std::string name() const override { return "alap-slack"; }
-  std::string description() const override {
-    return "dmda commit with queues ordered by ascending ALAP slack";
-  }
-  std::unique_ptr<Scheduler> create(const SchedulerSpec&,
-                                    const SchedulerContext& ctx)
-      const override {
-    const TaskGraph& g = require_graph(ctx, "alap-slack");
-    const Platform& p = require_platform(ctx, "alap-slack");
-    return std::make_unique<AlapSlackScheduler>(g, p, ctx.filter);
-  }
+  bool sorted_;
 };
 
 class HybridFactory final : public SchedulerFactory {
@@ -291,13 +255,8 @@ SchedulerRegistry::SchedulerRegistry() : impl_(new Impl) {
   register_factory(std::make_unique<EagerFactory>());
   register_factory(std::make_unique<WsFactory>());
   register_factory(std::make_unique<PriorityFactory>());
-  register_factory(
-      std::make_unique<DmdaFamilyFactory>(DmdaFamilyFactory::Variant::kPlain));
-  register_factory(
-      std::make_unique<DmdaFamilyFactory>(DmdaFamilyFactory::Variant::kReady));
-  register_factory(
-      std::make_unique<DmdaFamilyFactory>(DmdaFamilyFactory::Variant::kSorted));
-  register_factory(std::make_unique<AlapSlackFactory>());
+  register_factory(std::make_unique<DmdaFamilyFactory>(/*sorted=*/false));
+  register_factory(std::make_unique<DmdaFamilyFactory>(/*sorted=*/true));
   register_factory(std::make_unique<HybridFactory>());
 }
 

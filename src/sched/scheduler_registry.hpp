@@ -2,7 +2,7 @@
 // bounds::BoundModelRegistry.
 //
 // Every policy the library knows ("random", "eager", "ws", "priority", the
-// dmda family, "alap-slack", "hybrid", ...) is a named SchedulerFactory in
+// dmda family, "hybrid", ...) is a named SchedulerFactory in
 // a process-wide registry. The experiment runner, the CLI's --policy, the
 // serving daemon and the bench binaries all construct schedulers through
 // this one interface instead of the historical make_policy string switch.
@@ -131,7 +131,7 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& spec_text,
 /// Registered names, sorted (for usage strings and sweeps).
 std::vector<std::string> scheduler_names();
 
-/// "alap-slack|dmda|..." -- the registered names joined for usage strings.
+/// "dmda|dmdas|..." -- the registered names joined for usage strings.
 std::string scheduler_names_joined(char sep = '|');
 
 /// Multi-line "name - description" listing (CLI `--policy help`).

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -42,6 +43,11 @@ inline constexpr std::int64_t kMaxJobBytes = std::int64_t{128} << 20;
 /// Deadline, in ms (about 11.6 days; a larger one would overflow the
 /// steady clock's representation when armed).
 inline constexpr double kMaxJobDeadlineMs = 1e9;
+/// Bytes of one daemon request line, newline excluded (a SUBMIT line is
+/// under 100 bytes). hetsched_serve answers a longer line with
+/// "ERR request too long" and closes the connection, so a client cannot
+/// grow the daemon's memory by never sending a newline.
+inline constexpr std::size_t kMaxRequestBytes = 1024;
 
 /// Whether `spec` is admissible: positive tiles and nb, a deadline in
 /// [0, kMaxJobDeadlineMs] and both size caps kept. No int spec overflows

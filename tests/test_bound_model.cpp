@@ -1,4 +1,4 @@
-// Bound-model registry, the ALAP bound and the alap-slack scheduler.
+// Bound-model registry, the ALAP bound and bound ratios in RunReport.
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
@@ -14,8 +14,7 @@
 #include "obs/sink.hpp"
 #include "obs/stream.hpp"
 #include "platform/calibration.hpp"
-#include "sched/alap_sched.hpp"
-#include "sched/priorities.hpp"
+#include "sched/dmda.hpp"
 #include "sched/priority_sched.hpp"
 #include "sim/simulator.hpp"
 #include "tests/test_util.hpp"
@@ -211,44 +210,6 @@ TEST(BoundModels, PrefixRejectsNonCholeskyHistograms) {
                std::invalid_argument);
 }
 
-// ---- alap-slack scheduler -------------------------------------------------
-
-TEST(AlapSlackScheduler, SlackAccessorMatchesAnalysis) {
-  const TaskGraph g = build_cholesky_dag(4);
-  const Platform p = mirage_platform();
-  const sched::AlapSlackScheduler s(g, p);
-  const bm::AlapAnalysis a = bm::alap_analysis(g, p.timings());
-  for (int t = 0; t < g.num_tasks(); ++t)
-    EXPECT_DOUBLE_EQ(s.slack_of(t), a.slack[static_cast<std::size_t>(t)]) << t;
-}
-
-TEST(AlapSlackScheduler, NeverWorseThanCentralPriorityOnFig7Grid) {
-  // The fig-7 setting: mirage without communication. alap-slack commits
-  // tasks to min-ECT workers (dmda's device choice); the central priority
-  // scheduler feeds the same bottom-level order to whoever asks first.
-  const Platform p = mirage_platform().without_communication();
-  for (const int n : {1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32}) {
-    const TaskGraph g = build_cholesky_dag(n);
-    sched::AlapSlackScheduler alap(g, p);
-    CentralPriorityScheduler prio(bottom_levels_fastest(g, p.timings()));
-    const double a = simulate(g, p, alap).makespan_s;
-    const double b = simulate(g, p, prio).makespan_s;
-    EXPECT_LE(a, b) << "n=" << n;
-  }
-}
-
-TEST(AlapSlackScheduler, SurvivesWorkerDeathViaRemap) {
-  const Platform p = mirage_platform();
-  const TaskGraph g = build_cholesky_dag(6);
-  sched::AlapSlackScheduler s(g, p);
-  RunOptions opt;
-  opt.faults.deaths.push_back({0, 0.01});
-  const RunReport r = simulate(g, p, s, opt);
-  EXPECT_TRUE(r.success);
-  EXPECT_EQ(r.faults.worker_deaths, 1);
-  EXPECT_GT(r.makespan_s, 0.0);
-}
-
 // ---- runtime / metrics threading ------------------------------------------
 
 TEST(RunReportBounds, UnknownModelFailsValidation) {
@@ -279,7 +240,7 @@ TEST(RunReportBounds, ReportStreamAndRecomputationAgreeBitForBit) {
   obs::TraceStreamer streamer;
   streamer.add_sink(&metrics);
 
-  sched::AlapSlackScheduler s(g, p);
+  DmdaScheduler s = make_dmdas(g, p);
   RunOptions opt;
   opt.bound_models = models;
   opt.stream = &streamer;

@@ -89,15 +89,12 @@ TEST(SimCapacity, EvictedTileIsRefetched) {
   FixedScheduleScheduler limited(fixed);
   RunOptions opt;
   opt.accel_memory_bytes = 512;
-  opt.prefetch = false;  // keep the access pattern strictly sequential
   const RunReport small = simulate(g, slow_bus(), limited, opt);
   EXPECT_EQ(small.transfer_hops, 3);
   EXPECT_EQ(small.evictions, 2);
 
   FixedScheduleScheduler unlimited(fixed);
-  RunOptions opt2;
-  opt2.prefetch = false;
-  const RunReport big = simulate(g, slow_bus(), unlimited, opt2);
+  const RunReport big = simulate(g, slow_bus(), unlimited);
   EXPECT_EQ(big.transfer_hops, 2);  // tile 0 cached across task 2
   EXPECT_EQ(big.evictions, 0);
   EXPECT_LT(big.makespan_s, small.makespan_s);

@@ -8,13 +8,12 @@
 namespace hetsched {
 namespace {
 
-TEST(TimingTable, FastestAndAverage) {
+TEST(TimingTable, Fastest) {
   TimingTable t(2);
   t.set_time(0, Kernel::GEMM, 8.0);
   t.set_time(1, Kernel::GEMM, 2.0);
   EXPECT_DOUBLE_EQ(t.fastest(Kernel::GEMM), 2.0);
   EXPECT_EQ(t.fastest_class(Kernel::GEMM), 1);
-  EXPECT_DOUBLE_EQ(t.average(Kernel::GEMM), 5.0);
   EXPECT_EQ(t.num_classes(), 2);
 }
 

@@ -23,15 +23,6 @@ TEST(Priorities, ChainBottomLevels) {
   EXPECT_DOUBLE_EQ(bl[0], 6.0);            // whole chain
 }
 
-TEST(Priorities, AverageVariantUsesClassMeans) {
-  const TaskGraph g = testutil::chain4();
-  const Platform p = testutil::tiny_hetero();
-  const std::vector<double> bl = bottom_levels_average(g, p.timings());
-  // Averages: POTRF 2, TRSM 2.5, SYRK 2.5, GEMM 4.5.
-  EXPECT_DOUBLE_EQ(bl[3], 2.0);
-  EXPECT_DOUBLE_EQ(bl[0], 2.0 + 2.5 + 2.5 + 2.0);
-}
-
 TEST(Priorities, SourceHasMaximalBottomLevel) {
   const TaskGraph g = build_cholesky_dag(8);
   const Platform p = mirage_platform();

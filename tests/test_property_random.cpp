@@ -19,6 +19,7 @@
 #include "sched/dmda.hpp"
 #include "sched/eager_sched.hpp"
 #include "sched/random_sched.hpp"
+#include "sched/scheduler_registry.hpp"
 #include "sched/ws_sched.hpp"
 #include "sim/simulator.hpp"
 #include "tests/test_util.hpp"
@@ -114,7 +115,7 @@ void check_invariants(const TaskGraph& g, const Platform& p,
 
 struct PropertyCase {
   unsigned seed;
-  int sched_id;  // 0 eager, 1 random, 2 dmda, 3 dmdas, 4 ws, 5 dmdar
+  int sched_id;  // 0 eager, 1 random, 2 dmda, 3 dmdas, 4 ws, 5 hybrid
 };
 
 class RandomDagProperty : public ::testing::TestWithParam<PropertyCase> {};
@@ -132,7 +133,7 @@ TEST_P(RandomDagProperty, InvariantsHoldOnMirage) {
     case 2: sched = std::make_unique<DmdaScheduler>(make_dmda()); break;
     case 3: sched = std::make_unique<DmdaScheduler>(make_dmdas(g, p)); break;
     case 4: sched = std::make_unique<WorkStealingScheduler>(); break;
-    default: sched = std::make_unique<DmdaScheduler>(make_dmdar()); break;
+    default: sched = sched::make_scheduler("hybrid", g, p); break;
   }
   const RunReport r = simulate(g, p, *sched);
   check_invariants(g, p, r);

@@ -72,8 +72,8 @@ TEST(SchedulerSpec, TypedAccessorsNameTheBadKey) {
 
 TEST(SchedulerRegistry, BuiltInsAreRegistered) {
   const std::vector<std::string> names = sched::scheduler_names();
-  for (const char* expected : {"alap-slack", "dmda", "dmdar", "dmdas", "eager",
-                               "hybrid", "priority", "random", "ws"}) {
+  for (const char* expected :
+       {"dmda", "dmdas", "eager", "hybrid", "priority", "random", "ws"}) {
     EXPECT_NE(sched::SchedulerRegistry::instance().find(expected), nullptr)
         << expected;
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())

@@ -171,19 +171,11 @@ TEST(Simulator, PrefetchOverlapsTransferWithCompute) {
   StaticSchedule fixed;
   fixed.entries = {{0, 2, 0.0}, {1, 2, 1.0}};
 
-  RunOptions with_prefetch;
-  with_prefetch.prefetch = true;
-  FixedScheduleScheduler s1(fixed);
-  const RunReport r1 = simulate(g, p, s1, with_prefetch);
-  // fetch0 [0,1], compute0 [1,2] || fetch1 [1,2], compute1 [2,3].
-  EXPECT_NEAR(r1.makespan_s, 3.0, 1e-2);
-
-  RunOptions no_prefetch;
-  no_prefetch.prefetch = false;
-  FixedScheduleScheduler s2(fixed);
-  const RunReport r2 = simulate(g, p, s2, no_prefetch);
-  // fetch0 [0,1], compute0 [1,2], fetch1 [2,3], compute1 [3,4].
-  EXPECT_NEAR(r2.makespan_s, 4.0, 1e-2);
+  FixedScheduleScheduler s(fixed);
+  const RunReport r = simulate(g, p, s);
+  // fetch0 [0,1], compute0 [1,2] || fetch1 [1,2], compute1 [2,3]; without
+  // prefetch-on-push fetch1 would wait for compute0 and end at 4.
+  EXPECT_NEAR(r.makespan_s, 3.0, 1e-2);
 }
 
 TEST(Simulator, DistinctGpuLinksRunInParallel) {

@@ -27,6 +27,9 @@
 //                                         a wrong word count, a number
 //                                         out of range or trailing junk)
 //
+// A request line longer than serve::kMaxRequestBytes gets
+// "ERR request too long" and the daemon closes that connection.
+//
 // SIGTERM / SIGINT trigger a graceful drain: stop accepting connections,
 // stop admitting, let queued + in-flight jobs finish, flush metric sinks,
 // print the final metrics JSON on stdout and exit 0. Worker faults
@@ -266,6 +269,10 @@ void serve_connection(FactorizationServer* server, double default_deadline_ms,
     const ssize_t n = ::read(fd, &c, 1);
     if (n <= 0) break;
     if (c != '\n') {
+      if (line.size() == serve::kMaxRequestBytes) {
+        send_line(fd, "ERR request too long");
+        break;
+      }
       line.push_back(c);
       continue;
     }
