@@ -26,6 +26,11 @@ int main() {
     return std::make_unique<DmdaScheduler>(make_dmdas(g, p));
   };
   const std::vector<std::string> policies = {"eager", "ws", "dmda", "dmdas"};
+  // A fault run that fails has no makespan to tabulate.
+  const auto failed = [](const RunReport& r) {
+    std::fprintf(stderr, "fault run failed: %s\n", r.error.c_str());
+    return 1;
+  };
 
   std::printf("# Ablation: kill GPU worker %d at a fraction of the healthy "
               "makespan (n=%d)\n",
@@ -45,6 +50,7 @@ int main() {
       RunOptions opt;
       opt.faults.deaths.push_back({victim, frac * healthy});
       const RunReport r = simulate(g, p, *s, opt);
+      if (!r.success) return failed(r);
       const double quality =
           degraded_efficiency(n, p, {victim}, r.makespan_s) * 100.0;
       const double bound = degraded_mixed_bound_s(n, p, {victim});
@@ -68,6 +74,7 @@ int main() {
     opt.faults.retry.max_retries = 20;  // ample budget for the sweep
     opt.faults.seed = 42;
     const RunReport r = simulate(g, p, *s, opt);
+    if (!r.success) return failed(r);
     std::printf("%-10.2f %10.4f %8lld %8lld %10.4f\n", prob, r.makespan_s,
                 static_cast<long long>(r.faults.transient_failures),
                 static_cast<long long>(r.faults.retries),

@@ -88,6 +88,11 @@ TilePlan TilePlan::from_text(const std::string& text) {
       throw std::invalid_argument("TilePlan::from_text: expected " +
                                   std::to_string(p.levels.size()) +
                                   " levels, got " + std::to_string(c));
+    // Range-check before narrowing: 256 must not wrap to level 0.
+    if (l < 0 || l > kMaxTileSplitLevel)
+      throw std::invalid_argument(
+          "TilePlan::from_text: level " + std::to_string(l) +
+          " out of range [0," + std::to_string(kMaxTileSplitLevel) + "]");
     p.levels[c] = static_cast<std::uint8_t>(l);
   }
   int extra = 0;

@@ -144,8 +144,9 @@ LnsResult lns_improve_with_comm(const TaskGraph& g, const Platform& p,
     const auto evaluated = evaluate_order(g, p, order);
     if (!evaluated) return std::nullopt;
     FixedScheduleScheduler replay(*evaluated);
-    const double mk = simulate(g, p, replay, sim_opt).makespan_s;
-    return std::make_pair(mk, *evaluated);
+    const RunReport r = simulate(g, p, replay, sim_opt);
+    if (!r.success) return std::nullopt;
+    return std::make_pair(r.makespan_s, *evaluated);
   };
   return lns_core(g, p, seed, opt, price);
 }

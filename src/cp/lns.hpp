@@ -39,6 +39,7 @@ LnsResult lns_improve(const TaskGraph& g, const Platform& p,
 /// replaying them in the full simulator on `p` *with* its PCIe model, so
 /// the search optimizes the realizable makespan, transfers included.
 /// `makespan_s` of the result is that simulated-with-communications value.
+/// A candidate whose replay fails is priced as infeasible.
 LnsResult lns_improve_with_comm(const TaskGraph& g, const Platform& p,
                                 const StaticSchedule& seed,
                                 const LnsOptions& opt = {});

@@ -53,8 +53,8 @@ struct FaultPlan {
   /// Probability that any single task attempt fails transiently.
   double transient_failure_prob = 0.0;
   /// Force a numeric (non-SPD) failure of the POTRF at this panel step
-  /// (-1 = never). Numeric failures are not retryable: the run aborts with
-  /// a structured NumericError.
+  /// (-1 = never). Numeric failures are not retryable: the run fails with
+  /// RunErrorKind::Numeric and the tile and pivot in its error.
   int potrf_fail_step = -1;
   /// Seed of the transient-failure draw (independent of RunOptions noise).
   unsigned seed = 0;
@@ -65,8 +65,8 @@ struct FaultPlan {
   /// Rebuild sole-copy tiles lost with a dead memory node by replaying
   /// their writer lineage (recursively; assumes the initial tile contents
   /// are checkpointed in host RAM at submission, as fault-tolerant dense
-  /// solvers do). When false, any needed sole-copy loss aborts the run
-  /// with FaultError::UnrecoverableDataLoss instead.
+  /// solvers do). When false, any needed sole-copy loss fails the run
+  /// (RunErrorKind::Fault) instead.
   bool allow_recompute = true;
 
   /// True iff the plan injects nothing (the default).

@@ -51,7 +51,6 @@
 #include "sim/scheduler.hpp"
 
 // Fault injection and recovery.
-#include "fault/fault_error.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/recovery.hpp"
 

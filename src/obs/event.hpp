@@ -7,13 +7,21 @@
 //  * Compute  -- one executed task attempt (== runtime::ComputeRecord);
 //  * Transfer -- one completed link hop   (== runtime::TransferRecord);
 //  * Fault    -- one fault/recovery occurrence, one event per FaultStats
-//                counter increment so an aggregating sink reproduces the
-//                post-run FaultStats exactly.
+//                counter increment; RunReport::faults and the streamed
+//                MetricsAggregator tally both count them through
+//                tally_fault(), so the two agree exactly.
+//
+// Backends hand every event to RunEngine::record (runtime/engine.hpp),
+// which tallies, traces and streams it; nothing else records an event.
 #pragma once
 
 #include <cstdint>
 
 #include "core/kernel_types.hpp"
+
+namespace hetsched {
+struct FaultStats;
+}
 
 namespace hetsched::obs {
 
@@ -88,5 +96,10 @@ struct TraceEvent {
     return e;
   }
 };
+
+/// Counts fault event `e` into `stats`: one counter increment, plus
+/// `e.value` into recovery_time_s for Retry and Recomputation (and the
+/// degraded flag for WorkerDeath). Non-fault events are ignored.
+void tally_fault(FaultStats& stats, const TraceEvent& e) noexcept;
 
 }  // namespace hetsched::obs

@@ -45,6 +45,29 @@ const char* to_string(FaultEventKind k) noexcept {
   return "unknown";
 }
 
+void tally_fault(FaultStats& f, const TraceEvent& e) noexcept {
+  if (e.kind != TraceEvent::Kind::Fault) return;
+  switch (e.fault) {
+    case FaultEventKind::WorkerDeath:
+      ++f.worker_deaths;
+      f.degraded = true;
+      break;
+    case FaultEventKind::TransientFailure: ++f.transient_failures; break;
+    case FaultEventKind::Retry:
+      ++f.retries;
+      f.recovery_time_s += e.value;
+      break;
+    case FaultEventKind::TaskRequeued: ++f.tasks_requeued; break;
+    case FaultEventKind::SlowdownHit: ++f.slowdown_hits; break;
+    case FaultEventKind::WatchdogTimeout: ++f.watchdog_timeouts; break;
+    case FaultEventKind::SoleCopyLoss: ++f.sole_copy_losses; break;
+    case FaultEventKind::Recomputation:
+      ++f.recomputations;
+      f.recovery_time_s += e.value;
+      break;
+  }
+}
+
 // ---- JsonlSink ------------------------------------------------------------
 
 JsonlSink::JsonlSink(const std::string& path)
@@ -222,30 +245,10 @@ void MetricsAggregator::on_event(std::uint64_t, const TraceEvent& e) {
       case TraceEvent::Kind::Transfer:
         ++snap_.transfer_events;
         break;
-      case TraceEvent::Kind::Fault: {
+      case TraceEvent::Kind::Fault:
         ++snap_.fault_events;
-        FaultStats& f = snap_.faults;
-        switch (e.fault) {
-          case FaultEventKind::WorkerDeath:
-            ++f.worker_deaths;
-            f.degraded = true;
-            break;
-          case FaultEventKind::TransientFailure: ++f.transient_failures; break;
-          case FaultEventKind::Retry:
-            ++f.retries;
-            f.recovery_time_s += e.value;
-            break;
-          case FaultEventKind::TaskRequeued: ++f.tasks_requeued; break;
-          case FaultEventKind::SlowdownHit: ++f.slowdown_hits; break;
-          case FaultEventKind::WatchdogTimeout: ++f.watchdog_timeouts; break;
-          case FaultEventKind::SoleCopyLoss: ++f.sole_copy_losses; break;
-          case FaultEventKind::Recomputation:
-            ++f.recomputations;
-            f.recovery_time_s += e.value;
-            break;
-        }
+        tally_fault(snap_.faults, e);
         break;
-      }
     }
     if (report_out_ != nullptr) {
       const double now = steady_seconds();

@@ -24,7 +24,9 @@ double rollout_makespan_s(const TilePlan& plan, const Platform& p,
       sched::make_scheduler(policy, g, p);
   RunOptions opt;
   opt.record_trace = false;
-  return simulate(g, p, *scheduler, opt).makespan_s;
+  const RunReport r = simulate(g, p, *scheduler, opt);
+  if (!r.success) throw std::runtime_error(r.error);
+  return r.makespan_s;
 }
 
 namespace {

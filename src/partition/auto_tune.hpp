@@ -40,7 +40,8 @@ struct AutoTuneResult {
 };
 
 /// Simulated makespan of `plan` on `p` under `policy` (one DES rollout,
-/// no trace). The objective the tuner minimizes.
+/// no trace). The objective the tuner minimizes. A failed rollout throws
+/// std::runtime_error with the report's error.
 double rollout_makespan_s(const TilePlan& plan, const Platform& p,
                           const std::string& policy);
 

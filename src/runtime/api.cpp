@@ -6,6 +6,7 @@
 // the original error messages survive. The plan executor also keeps the
 // last plan's lowered graph and one idle PlanStorage (view blocks and
 // journal, never bound) across calls.
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -49,8 +50,9 @@ RunReport execute_with_scheduler(TileMatrix& a, const TaskGraph& g,
 RunReport emulate_with_scheduler(const TaskGraph& g,
                                  const Platform& calibration, Scheduler& sched,
                                  double time_scale, const RunOptions& opt) {
-  if (time_scale <= 0.0)
-    throw std::invalid_argument("emulate_with_scheduler: time_scale <= 0");
+  if (!std::isfinite(time_scale) || time_scale <= 0.0)
+    throw std::invalid_argument(
+        "emulate_with_scheduler: time_scale not a finite number > 0");
   RunEngine engine(g, calibration, sched, opt);
   EmulationBackend backend(time_scale);
   return engine.run(backend);

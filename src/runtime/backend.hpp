@@ -1,10 +1,11 @@
 // Backend interface of the RunEngine: a time source plus a drive loop.
 //
 // The engine owns everything backend-agnostic (validation, task lifecycle,
-// trace/report sinks); a Backend supplies the clock and the execution
-// substrate -- virtual-clock discrete events, a wall-clock thread pool
-// running numeric kernels, or a wall-clock thread pool sleeping calibrated
-// durations. See docs/runtime.md for the full contract.
+// the event and failure paths into the report); a Backend supplies the
+// clock and the execution substrate -- virtual-clock discrete events, a
+// wall-clock thread pool running numeric kernels, or a wall-clock thread
+// pool sleeping calibrated durations. See docs/runtime.md for the full
+// contract.
 #pragma once
 
 namespace hetsched {
@@ -23,9 +24,12 @@ class Backend {
   /// strings survive the refactor.
   virtual const char* error_prefix() const = 0;
 
-  /// Runs the engine's graph to completion (or failure). On success the
-  /// backend must fill report().makespan_s and any backend-specific stats;
-  /// the engine fills wall_seconds, trace and the backend label.
+  /// Runs the engine's graph to completion or failure. Events go through
+  /// RunEngine::record and failures through RunEngine::fail; nothing a run
+  /// can fail of is thrown. The backend fills report().makespan_s (the
+  /// time reached, on failure too) and any backend-specific stats; the
+  /// engine fills success, wall_seconds, trace, fault tallies and the
+  /// backend label.
   virtual void drive(RunEngine& engine) = 0;
 };
 

@@ -7,13 +7,12 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/numeric_error.hpp"
-#include "fault/fault_error.hpp"
 #include "obs/event.hpp"
-#include "obs/stream.hpp"
 #include "runtime/engine.hpp"
 #include "sim/data_manager.hpp"
 #include "sim/event_queue.hpp"
@@ -27,16 +26,20 @@ namespace {
 // fault machinery. Event push ordering is load-bearing: the EventQueue
 // breaks time ties by insertion sequence, so the order of pushes below
 // must not change without revisiting the bit-for-bit golden tests.
+//
+// A failure (starvation, forced POTRF failure, exhausted retry budget,
+// every worker dead, unrecoverable data loss, fired cancel token) is
+// handed to RunEngine::fail and ends the drive; run() then fills the
+// report with the virtual time and counters reached.
 class DesRun final : public SchedulerHost {
  public:
   explicit DesRun(RunEngine& engine)
-      : graph_(engine.graph()),
+      : engine_(engine),
+        graph_(engine.graph()),
         platform_(engine.platform()),
         sched_(engine.scheduler()),
         opt_(engine.options()),
         lifecycle_(engine.lifecycle()),
-        trace_(engine.trace()),
-        stream_(engine.stream()),
         lane_(engine.platform().num_workers()),
         has_faults_(!opt_.faults.empty()),
         data_(max_tile_handle(graph_) + 1, platform_.num_memory_nodes(),
@@ -67,7 +70,7 @@ class DesRun final : public SchedulerHost {
     }
   }
 
-  void run(RunEngine& engine);
+  void run();
 
   // ---- SchedulerHost ----
   double now() const override { return now_; }
@@ -149,6 +152,9 @@ class DesRun final : public SchedulerHost {
     double seconds = 0.0;
   };
 
+  /// Unwinds a failed run from any depth back to run().
+  struct Aborted {};
+
   static int max_tile_handle(const TaskGraph& g) {
     int m = 0;
     for (const Task& t : g.tasks())
@@ -190,8 +196,19 @@ class DesRun final : public SchedulerHost {
   }
 
   // The whole DES runs on one thread, so every event uses the same lane.
-  void emit(const obs::TraceEvent& e) {
-    if (stream_) stream_->emit(lane_, e);
+  void record(const obs::TraceEvent& e) { engine_.record(lane_, e); }
+
+  // Fails the run with the engine and unwinds to run().
+  [[noreturn]] void abort_run(RunErrorKind kind, std::string message) {
+    engine_.fail(kind, std::move(message));
+    throw Aborted{};
+  }
+
+  [[noreturn]] void abort_data_loss(int tile) {
+    abort_run(RunErrorKind::Fault,
+              "sole copy of tile " + std::to_string(tile) +
+                  " lost with a dead memory node; lineage recomputation is "
+                  "disabled or impossible");
   }
 
   // Ensures a fetch of `tile` to `node` exists; returns its id, or -1 if the
@@ -242,17 +259,10 @@ class DesRun final : public SchedulerHost {
     ++transfer_hops_;
     const bool final_hop = f.hops_left == 0;
     const int to_node = final_hop ? f.dst : 0;
-    if (opt_.record_trace || stream_) {
-      TransferRecord r;
-      r.tile = f.tile;
-      r.from_node = final_hop && f.dst != 0 ? 0 : first_valid_node(f.tile);
-      r.to_node = to_node;
-      r.start = f.hop_start;
-      r.end = now_;
-      if (opt_.record_trace) trace_.record_transfer(r);
-      emit(obs::TraceEvent::transfer(r.tile, r.from_node, r.to_node, r.start,
-                                     r.end));
-    }
+    if (engine_.recording())
+      record(obs::TraceEvent::transfer(
+          f.tile, final_hop && f.dst != 0 ? 0 : first_valid_node(f.tile),
+          to_node, f.hop_start, now_));
     if (final_hop) {
       const bool dst_dead =
           has_faults_ && node_dead_[static_cast<std::size_t>(f.dst)] != 0;
@@ -366,9 +376,8 @@ class DesRun final : public SchedulerHost {
       const double slow = opt_.faults.slowdown_factor(worker, now_);
       if (slow != 1.0) {
         duration *= slow;
-        ++fstats_.slowdown_hits;
-        emit(obs::TraceEvent::fault_event(obs::FaultEventKind::SlowdownHit,
-                                          now_, worker, w.current_task));
+        record(obs::TraceEvent::fault_event(obs::FaultEventKind::SlowdownHit,
+                                            now_, worker, w.current_task));
       }
     }
     w.state = WorkerState::S::Computing;
@@ -384,39 +393,31 @@ class DesRun final : public SchedulerHost {
     if (has_faults_ && opt_.faults.potrf_fail_step >= 0) {
       const Task& t = graph_.task(task);
       if (t.kernel == Kernel::POTRF && t.k == opt_.faults.potrf_fail_step)
-        throw NumericError(Kernel::POTRF, t.k, t.k, 1);
+        abort_run(RunErrorKind::Numeric,
+                  NumericError(Kernel::POTRF, t.k, t.k, 1).what());
     }
     bool attempt_failed = false;
     if (has_faults_ && opt_.faults.transient_failure_prob > 0.0) {
       std::bernoulli_distribution fail(opt_.faults.transient_failure_prob);
       attempt_failed = fail(fault_rng_);
     }
-    if (opt_.record_trace || stream_) {
-      ComputeRecord r;
-      r.worker = worker;
-      r.task = task;
-      r.kernel = graph_.task(task).kernel;
-      r.start = w.current_start;
-      r.end = now_;
-      if (opt_.record_trace) trace_.record_compute(r);
-      emit(obs::TraceEvent::compute(worker, task, r.kernel, r.start, r.end));
-    }
+    if (engine_.recording())
+      record(obs::TraceEvent::compute(worker, task, graph_.task(task).kernel,
+                                      w.current_start, now_));
     const int node = platform_.worker(worker).memory_node;
     for (const TaskAccess& a : graph_.task(task).accesses)
       data_.unpin(a.tile, node);
     if (attempt_failed) {
-      ++fstats_.transient_failures;
-      emit(obs::TraceEvent::fault_event(obs::FaultEventKind::TransientFailure,
-                                        now_, worker, task));
+      record(obs::TraceEvent::fault_event(
+          obs::FaultEventKind::TransientFailure, now_, worker, task));
       const int att = ++attempts_[static_cast<std::size_t>(task)];
       if (att > opt_.faults.retry.max_retries)
-        throw FaultError(FaultError::Kind::RetryBudgetExhausted, task, -1,
-                         att);
-      ++fstats_.retries;
+        abort_run(RunErrorKind::Fault, retry_budget_message(
+                                           task, att,
+                                           "injected transient failure"));
       const double delay = opt_.faults.backoff_s(att);
-      fstats_.recovery_time_s += delay;
-      emit(obs::TraceEvent::fault_event(obs::FaultEventKind::Retry, now_,
-                                        worker, task, -1, delay));
+      record(obs::TraceEvent::fault_event(obs::FaultEventKind::Retry, now_,
+                                          worker, task, -1, delay));
       events_.push(now_ + delay, EventType::RetryRelease, task, 0);
       w.state = WorkerState::S::Idle;
       w.current_task = -1;
@@ -445,12 +446,10 @@ class DesRun final : public SchedulerHost {
     if (!w.alive) return;  // duplicate plan entry
     w.alive = false;
     --alive_workers_;
-    ++fstats_.worker_deaths;
-    fstats_.degraded = true;
-    emit(obs::TraceEvent::fault_event(obs::FaultEventKind::WorkerDeath, now_,
-                                      worker));
+    record(obs::TraceEvent::fault_event(obs::FaultEventKind::WorkerDeath, now_,
+                                        worker));
     if (alive_workers_ == 0 && !lifecycle_.all_done())
-      throw FaultError(FaultError::Kind::AllWorkersDead, -1, -1, 0);
+      abort_run(RunErrorKind::Fault, kAllWorkersDeadMessage);
 
     const int node = platform_.worker(worker).memory_node;
     // Abort the in-flight attempt; the task is still ready and re-enters
@@ -485,9 +484,8 @@ class DesRun final : public SchedulerHost {
     std::vector<int> stranded = sched_.on_worker_dead(*this, worker);
     if (orphan >= 0) stranded.push_back(orphan);
     for (const int task : stranded) {
-      ++fstats_.tasks_requeued;
-      emit(obs::TraceEvent::fault_event(obs::FaultEventKind::TaskRequeued,
-                                        now_, worker, task));
+      record(obs::TraceEvent::fault_event(obs::FaultEventKind::TaskRequeued,
+                                          now_, worker, task));
       sched_.on_task_ready(*this, task);
     }
   }
@@ -508,9 +506,8 @@ class DesRun final : public SchedulerHost {
     std::vector<int> to_recover;
     for (const int t : sole) {
       data_.lose_replica(t, node);
-      ++fstats_.sole_copy_losses;
-      emit(obs::TraceEvent::fault_event(obs::FaultEventKind::SoleCopyLoss,
-                                        now_, -1, -1, t));
+      record(obs::TraceEvent::fault_event(obs::FaultEventKind::SoleCopyLoss,
+                                          now_, -1, -1, t));
       // An in-flight fetch sourced from this replica still delivers (the
       // bits are on the wire -- same optimism as LRU eviction of fetch
       // sources); the tile reappears at the fetch destination.
@@ -547,11 +544,10 @@ class DesRun final : public SchedulerHost {
   // the submission-time checkpoint of the tile's initial content (the
   // standard fault-tolerant dense-solver assumption, see docs/faults.md)
   // plus the chain's cross-tile inputs; inputs that are themselves lost
-  // recover recursively. With allow_recompute disabled the loss aborts
-  // with a structured error instead.
+  // recover recursively. With allow_recompute disabled the loss fails the
+  // run instead.
   void dispatch_recovery(int tile) {
-    if (!opt_.faults.allow_recompute)
-      throw FaultError(FaultError::Kind::UnrecoverableDataLoss, -1, tile, 0);
+    if (!opt_.faults.allow_recompute) abort_data_loss(tile);
     if (recovery_queued_.count(tile) != 0) return;
     recovery_queued_.insert(tile);
     const auto& chain = writers_by_tile_[static_cast<std::size_t>(tile)];
@@ -569,8 +565,7 @@ class DesRun final : public SchedulerHost {
           dispatch_recovery(a.tile);
         } else if (data_.replica_count(a.tile) == 0) {
           // Valid nowhere yet not tracked as lost: nothing to replay from.
-          throw FaultError(FaultError::Kind::UnrecoverableDataLoss, -1, tile,
-                           0);
+          abort_data_loss(tile);
         }
       }
     // Earliest-finish worker for the replay: availability plus the chain's
@@ -591,15 +586,12 @@ class DesRun final : public SchedulerHost {
         best_seconds = seconds;
       }
     }
-    if (best < 0)
-      throw FaultError(FaultError::Kind::AllWorkersDead, -1, tile, 0);
+    if (best < 0) abort_run(RunErrorKind::Fault, kAllWorkersDeadMessage);
     RecoveryJob job;
     job.tile = tile;
     job.seconds = best_seconds;
-    ++fstats_.recomputations;
-    fstats_.recovery_time_s += job.seconds;
-    emit(obs::TraceEvent::fault_event(obs::FaultEventKind::Recomputation,
-                                      now_, best, -1, tile, job.seconds));
+    record(obs::TraceEvent::fault_event(obs::FaultEventKind::Recomputation,
+                                        now_, best, -1, tile, job.seconds));
     pending_recovery_[static_cast<std::size_t>(best)].push_back(job);
   }
 
@@ -651,13 +643,14 @@ class DesRun final : public SchedulerHost {
     }
   }
 
-  [[noreturn]] void throw_starvation() {
-    throw lifecycle_.starvation_error(
-        sched_.name(), platform_.num_workers(), [this](int id) {
-          for (const WorkerState& w : workers_)
-            if (w.current_task == id) return true;
-          return false;
-        });
+  [[noreturn]] void abort_starved() {
+    abort_run(RunErrorKind::Scheduler,
+              lifecycle_.starvation_error(
+                  sched_.name(), platform_.num_workers(), [this](int id) {
+                    for (const WorkerState& w : workers_)
+                      if (w.current_task == id) return true;
+                    return false;
+                  }));
   }
 
   void try_start_all_idle() {
@@ -669,14 +662,13 @@ class DesRun final : public SchedulerHost {
     }
   }
 
+  RunEngine& engine_;
   const TaskGraph& graph_;
   const Platform& platform_;
   Scheduler& sched_;
   const RunOptions& opt_;
   TaskLifecycle& lifecycle_;
-  Trace& trace_;
-  obs::TraceStreamer* stream_;  ///< optional, owned by the caller
-  int lane_;  ///< streaming lane of the (single) driver thread
+  int lane_;  ///< event lane of the (single) driver thread
   bool has_faults_;
   DataManager data_;
   std::mt19937_64 rng_;
@@ -696,7 +688,6 @@ class DesRun final : public SchedulerHost {
   int active_hops_ = 0;  // in-flight hops across all links (contention)
 
   // Fault state (allocated only when the plan is non-empty).
-  FaultStats fstats_;
   std::vector<int> attempts_;
   std::vector<char> node_dead_;
   std::set<int> lost_tiles_;
@@ -706,7 +697,7 @@ class DesRun final : public SchedulerHost {
   std::vector<std::vector<int>> writers_by_tile_;
 };
 
-void DesRun::run(RunEngine& engine) {
+void DesRun::run() {
   // Upper-bounds the concurrent event population (in-flight finishes,
   // transfer hops, planned deaths); sizing from the task count keeps the
   // heap's backing vector from ever reallocating mid-run.
@@ -716,64 +707,45 @@ void DesRun::run(RunEngine& engine) {
     for (const WorkerDeath& d : opt_.faults.deaths)
       events_.push(d.time_s, EventType::WorkerDeath, d.worker, 0);
   }
-  sched_.initialize(*this);
-  lifecycle_.seed(sched_, *this);
-  try_start_all_idle();
-
   // The DES clock is virtual, but the cancel token (when attached) is
   // wall-clock: polled every 64 events so a deadline bounds the host time
-  // a simulation may consume. A fired token is the one DES failure that
-  // is reported through the returned report instead of thrown -- the
-  // serving layer and the CLI share the threaded backends' taxonomy.
-  CancelToken* const token = engine.options().cancel;
+  // a simulation may consume.
+  CancelToken* const token = opt_.cancel;
   std::uint32_t polls = 0;
-  while (!lifecycle_.all_done()) {
-    if (token != nullptr && (polls++ & 0x3F) == 0) {
-      const CancelReason why = token->status();
-      if (why != CancelReason::kNone) {
-        RunReport& res = engine.report();
-        res.success = false;
-        res.makespan_s = now_;
-        res.transfer_hops = transfer_hops_;
-        res.bytes_transferred = static_cast<double>(transfer_hops_) *
-                                static_cast<double>(data_.tile_bytes());
-        res.evictions = evictions_;
-        res.capacity_overflows = capacity_overflows_;
-        res.faults = fstats_;
-        res.error = why == CancelReason::kDeadline
-                        ? "deadline exceeded: simulation aborted mid-run"
-                        : "cancelled: simulation aborted mid-run";
-        res.error_kind = why == CancelReason::kDeadline
-                             ? RunErrorKind::DeadlineExceeded
-                             : RunErrorKind::Cancelled;
-        return;
-      }
-    }
-    if (events_.empty()) throw_starvation();
-    const Event e = events_.pop();
-    now_ = e.time;
-    switch (e.type) {
-      case EventType::TaskFinish:
-        on_task_finish(e.a, e.b);
-        break;
-      case EventType::TransferFinish:
-        on_transfer_finish(e.a, e.b);
-        break;
-      case EventType::WorkerDeath:
-        on_worker_death(e.a);
-        break;
-      case EventType::RetryRelease:
-        sched_.on_task_ready(*this, e.a);
-        break;
-      case EventType::RecoveryFinish:
-        on_recovery_finish(e.a, e.b);
-        break;
-    }
+  try {
+    sched_.initialize(*this);
+    lifecycle_.seed(sched_, *this);
     try_start_all_idle();
+    while (!lifecycle_.all_done()) {
+      if (token != nullptr && (polls++ & 0x3F) == 0 && engine_.cancel_fired())
+        break;
+      if (events_.empty()) abort_starved();
+      const Event e = events_.pop();
+      now_ = e.time;
+      switch (e.type) {
+        case EventType::TaskFinish:
+          on_task_finish(e.a, e.b);
+          break;
+        case EventType::TransferFinish:
+          on_transfer_finish(e.a, e.b);
+          break;
+        case EventType::WorkerDeath:
+          on_worker_death(e.a);
+          break;
+        case EventType::RetryRelease:
+          sched_.on_task_ready(*this, e.a);
+          break;
+        case EventType::RecoveryFinish:
+          on_recovery_finish(e.a, e.b);
+          break;
+      }
+      try_start_all_idle();
+    }
+  } catch (const Aborted&) {
+    // The failure is already with the engine; report what the run reached.
   }
 
-  RunReport& res = engine.report();
-  res.success = true;
+  RunReport& res = engine_.report();
   res.makespan_s = now_;
   res.transfer_hops = transfer_hops_;
   res.bytes_transferred =
@@ -781,14 +753,12 @@ void DesRun::run(RunEngine& engine) {
       static_cast<double>(data_.tile_bytes());
   res.evictions = evictions_;
   res.capacity_overflows = capacity_overflows_;
-  res.faults = fstats_;
 }
 
 }  // namespace
 
 void DiscreteEventBackend::drive(RunEngine& engine) {
-  DesRun run(engine);
-  run.run(engine);
+  DesRun(engine).run();
 }
 
 }  // namespace hetsched

@@ -1,5 +1,6 @@
 #include "runtime/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -16,7 +17,8 @@ RunEngine::RunEngine(const TaskGraph& g, const Platform& p, Scheduler& sched,
       sched_(sched),
       opt_(opt),
       lifecycle_(g, p.num_workers()),
-      trace_(p.num_workers()) {}
+      lanes_(static_cast<std::size_t>(p.num_workers() + 1),
+             Trace(p.num_workers())) {}
 
 void RunEngine::validate(const Backend& backend) const {
   const std::string prefix = backend.error_prefix();
@@ -46,8 +48,9 @@ RunReport RunEngine::run(Backend& backend) {
   try {
     backend.drive(*this);
   } catch (...) {
-    // The DES backend reports failure by throwing; drain and stop the
-    // sink thread before the exception escapes.
+    // Run failures come back in the report; what escapes a drive is not a
+    // run failure (std::bad_alloc, a thread that failed to start). Drain
+    // and stop the sink thread before it propagates.
     if (opt_.stream) opt_.stream->end_run();
     throw;
   }
@@ -59,8 +62,9 @@ RunReport RunEngine::run(Backend& backend) {
   report_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  report_.success = !failed() && lifecycle_.all_done();
   report_.backend = backend.name();
-  report_.trace = std::move(trace_);
+  report_.trace = merged_trace();
   // Per-policy counters (ws steals, hybrid boundary crossings, ...); kept
   // even on failure -- partial counts help diagnose a starved run.
   report_.scheduler_stats = sched_.stats();
@@ -78,6 +82,31 @@ RunReport RunEngine::run(Backend& backend) {
     }
   }
   return std::move(report_);
+}
+
+Trace RunEngine::merged_trace() {
+  // The driver lane (the DES loop) is already in event order. Worker lanes
+  // (compute records only: the threaded backends move no tiles) run
+  // concurrently, so their records merge by (start, end, task).
+  Trace out = std::move(lanes_.back());
+  std::vector<ComputeRecord> all;
+  for (std::size_t w = 0; w + 1 < lanes_.size(); ++w)
+    all.insert(all.end(), lanes_[w].compute().begin(),
+               lanes_[w].compute().end());
+  std::sort(all.begin(), all.end(),
+            [](const ComputeRecord& x, const ComputeRecord& y) {
+              if (x.start != y.start) return x.start < y.start;
+              if (x.end != y.end) return x.end < y.end;
+              return x.task < y.task;
+            });
+  for (const ComputeRecord& r : all) out.record_compute(r);
+  return out;
+}
+
+std::string retry_budget_message(int task, int attempts,
+                                 const char* last_cause) {
+  return "retry budget exhausted: task " + std::to_string(task) + " failed " +
+         std::to_string(attempts) + " time(s) (last: " + last_cause + ")";
 }
 
 }  // namespace hetsched

@@ -86,6 +86,7 @@ ExperimentCell repeat_averaged(
     auto s =
         sched::make_scheduler(policy, g, p, static_cast<unsigned>(r), filter);
     const RunReport rep = simulate(g, p, *s, opt);
+    if (!rep.success) throw std::runtime_error(rep.error);
     // A MetricsAggregator sink also receives the run's policy counters
     // (steals, static-pool hits, ...), summed across the repeats.
     if (auto* agg = dynamic_cast<obs::MetricsAggregator*>(sink))

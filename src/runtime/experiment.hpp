@@ -129,7 +129,8 @@ struct ExperimentTable {
 /// TraceStreamer into it (the sink sees the runs concatenated, seq
 /// monotonic across repeats). A non-null `mean_seconds` receives the mean
 /// raw makespan (pre-metric, pre-scale) -- the bound-ratio columns divide
-/// this by the bound.
+/// this by the bound. A failed run throws std::runtime_error with the
+/// report's error: a failed run has no makespan to average.
 ExperimentCell repeat_averaged(
     const std::string& policy, const TaskGraph& g, const Platform& p, int n,
     const RunOptions& base, int runs, const WorkerFilter& filter,

@@ -1,6 +1,6 @@
 // Task lifecycle bookkeeping shared by every backend: dependency
 // countdown, the note_task_queued/pop load accounting schedulers rely on,
-// completion tracking, and the starvation diagnostic.
+// completion tracking, and the starvation message.
 //
 // The lifecycle is deliberately unsynchronized: the DES backend is
 // single-threaded and the wall-clock backends mutate it only under their
@@ -9,12 +9,12 @@
 #pragma once
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/task_graph.hpp"
-#include "fault/fault_error.hpp"
 #include "sim/scheduler.hpp"
 
 namespace hetsched {
@@ -79,12 +79,13 @@ class TaskLifecycle {
   int finished() const { return finished_; }
   bool all_done() const { return finished_ == graph_.num_tasks(); }
 
-  /// Builds the starvation diagnostic: per-worker noted-queue depths, the
-  /// ready-set size and one stuck task. `running(id)` must tell whether
-  /// task `id` is currently being attempted by some worker.
+  /// The starvation message both backends report: the policy, the
+  /// ready-set size, one stuck task and the per-worker noted-queue depths.
+  /// `running(id)` must tell whether task `id` is currently being
+  /// attempted by some worker.
   template <typename RunningPred>
-  SchedulerError starvation_error(const std::string& policy, int num_workers,
-                                  RunningPred running) const {
+  std::string starvation_error(const std::string& policy, int num_workers,
+                               RunningPred running) const {
     std::vector<int> depths(static_cast<std::size_t>(num_workers), 0);
     for (const auto& note : noted_)
       if (note.first >= 0) ++depths[static_cast<std::size_t>(note.first)];
@@ -97,7 +98,15 @@ class TaskLifecycle {
       ++ready;
       if (stuck < 0) stuck = id;
     }
-    return SchedulerError(policy, stuck, ready, std::move(depths));
+    std::ostringstream os;
+    os << "scheduler starvation (policy '" << policy << "'): " << ready
+       << " ready task(s) will never run";
+    if (stuck >= 0) os << ", first stuck task " << stuck;
+    os << "; queue depths [";
+    for (std::size_t w = 0; w < depths.size(); ++w)
+      os << (w ? " " : "") << depths[w];
+    os << "]";
+    return os.str();
   }
 
  private:

@@ -41,8 +41,8 @@ struct RunOptions {
   /// fault subsystem.
   FaultPlan faults;
   /// Streaming observability (see src/obs and docs/observability.md):
-  /// when non-null, every backend emits compute/transfer/fault events
-  /// into the streamer's lock-free rings as they happen; the engine runs
+  /// when non-null, every compute/transfer/fault event a backend records
+  /// goes into the streamer's lock-free rings as it happens; the engine runs
   /// begin_run/end_run around the drive and reports ring overflow through
   /// RunReport::dropped_events. Not owned; must outlive the run.
   obs::TraceStreamer* stream = nullptr;

@@ -20,10 +20,8 @@ namespace runtime {
 
 /// Coarse taxonomy of run failures, aligned with the CLI exit codes
 /// (Scheduler -> 3, Numeric -> 4, Fault -> 5, Cancelled/DeadlineExceeded
-/// -> 6). The throwing entry point (`simulate`) reports the scheduler /
-/// numeric / fault kinds through exception types instead (SchedulerError /
-/// NumericError / FaultError); a fired CancelToken is reported through the
-/// returned report on every backend, including the DES one.
+/// -> 6). Every backend, the DES included, reports each kind the same way:
+/// through the returned report, never by throwing.
 enum class RunErrorKind {
   None,              ///< success (or not yet run)
   Scheduler,         ///< the policy starved ready tasks
@@ -35,13 +33,13 @@ enum class RunErrorKind {
 
 /// Outcome of one run (any backend).
 struct RunReport {
-  /// True iff every task completed. The DES backend throws on failure
-  /// instead (its callers predate the report taxonomy), so a returned DES
-  /// report always has success = true.
+  /// True iff every task completed. On false, error_kind and error say
+  /// why, and makespan_s, the counters, fault tallies and trace describe
+  /// the partial run up to the failure.
   bool success = false;
   /// Virtual makespan, seconds: simulated time for the DES backend,
   /// wall_seconds for the compute backend, wall_seconds / time_scale for
-  /// the emulation backend.
+  /// the emulation backend. On a failed run, the time the run reached.
   double makespan_s = 0.0;
   /// Host wall-clock duration of the run (drive + join overhead).
   double wall_seconds = 0.0;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "kernels/pack_geometry.hpp"
 #include "kernels/scratch.hpp"
 #include "obs/event.hpp"
-#include "obs/stream.hpp"
 #include "runtime/engine.hpp"
 
 namespace hetsched {
@@ -125,7 +125,6 @@ struct FaultRuntime {
   std::vector<DelayedPush> delayed;  // unsorted; the service scans it
   int alive = 0;
   bool stop_service = false;
-  FaultStats stats;
 };
 
 }  // namespace
@@ -140,9 +139,8 @@ void ThreadedBackend::drive(RunEngine& engine) {
   const FaultPlan* faults = opt.faults.empty() ? nullptr : &opt.faults;
   CancelToken* const token = opt.cancel;
   const bool can_cancel = cancellable();
-  // Streaming lanes: worker thread w owns lane w; the fault service thread
-  // owns the extra lane the engine opened at num_workers.
-  obs::TraceStreamer* const stream = engine.stream();
+  // Event lanes: worker thread w records on lane w; the fault service
+  // thread records on the extra lane num_workers.
 
   const auto t0 = Clock::now();
   WallClockHost host(g, calibration, lifecycle, t0);
@@ -150,9 +148,6 @@ void ThreadedBackend::drive(RunEngine& engine) {
   std::mutex mu;
   std::condition_variable cv_work;     // workers: new tasks / exit causes
   std::condition_variable cv_service;  // fault service: new timer triggers
-  std::atomic<bool> failed{false};
-  std::string error;
-  RunErrorKind error_kind = RunErrorKind::None;
   // In-flight task per worker (-1 when none); the count of in-flight
   // attempts and the epoch bookkeeping feed the starvation detector.
   std::vector<int> current(static_cast<std::size_t>(num_threads), -1);
@@ -163,8 +158,7 @@ void ThreadedBackend::drive(RunEngine& engine) {
   // it went to sleep at. Starvation is declared only when nothing is in
   // flight, no fault timer can still push work, and every other live
   // worker went to sleep *after* the last push -- i.e. everyone saw the
-  // scheduler refuse at the current epoch. Threads cannot throw across
-  // the pool, so the diagnostic lands in the report instead.
+  // scheduler refuse at the current epoch.
   constexpr std::uint64_t kNotWaiting = ~std::uint64_t{0};
   std::uint64_t wake_epoch = 0;
   std::vector<std::uint64_t> waiting_epoch(
@@ -182,14 +176,13 @@ void ThreadedBackend::drive(RunEngine& engine) {
   const bool targeted = fr == nullptr && sched.central_queue();
 
   // All helpers below require the runtime mutex.
-  const auto fail_run = [&](const std::string& msg, RunErrorKind kind) {
-    if (error.empty()) {
-      error = msg;
-      error_kind = kind;
-    }
-    failed.store(true);
+  const auto wake_all = [&] {
     cv_work.notify_all();
     cv_service.notify_all();
+  };
+  const auto fail_run = [&](RunErrorKind kind, std::string msg) {
+    engine.fail(kind, std::move(msg));
+    wake_all();
   };
 
   const auto push_ready = [&](int task) {
@@ -197,42 +190,29 @@ void ThreadedBackend::drive(RunEngine& engine) {
     ++wake_epoch;
   };
 
-  // Polls the run's cancel token; fires the structured failure once and
+  // Polls the run's cancel token; a fired token fails the run once and
   // tells the caller to retire. Cancellation is cooperative: callers check
   // at task boundaries, so an in-flight numeric kernel always finishes its
   // tile (emulated attempts additionally poll the token inside their
   // sliced sleep and abort early).
   const auto token_fired = [&]() -> bool {
-    if (token == nullptr) return false;
-    const CancelReason r = token->status();
-    if (r == CancelReason::kNone) return false;
-    fail_run(r == CancelReason::kDeadline
-                 ? "deadline exceeded: run aborted at a task boundary"
-                 : "cancelled: run aborted at a task boundary",
-             r == CancelReason::kDeadline ? RunErrorKind::DeadlineExceeded
-                                          : RunErrorKind::Cancelled);
+    if (token == nullptr || !engine.cancel_fired()) return false;
+    wake_all();
     return true;
   };
 
   // Records a failed attempt and either schedules a retry after backoff or
-  // aborts the run with a structured message. `worker` is the calling
-  // worker thread (it doubles as the streaming lane).
+  // fails the run. `worker` is the calling worker thread (its event lane).
   const auto retry_or_abort = [&](int worker, int task, const char* why) {
     const int att = ++fr->attempts[static_cast<std::size_t>(task)];
     if (att > fr->plan.retry.max_retries) {
-      fail_run("retry budget exhausted: task " + std::to_string(task) +
-                   " failed " + std::to_string(att) + " times (last: " + why +
-                   ")",
-               RunErrorKind::Fault);
+      fail_run(RunErrorKind::Fault, retry_budget_message(task, att, why));
       return;
     }
-    ++fr->stats.retries;
     const double delay = fr->plan.backoff_s(att);
-    fr->stats.recovery_time_s += delay;
-    if (stream)
-      stream->emit(worker, obs::TraceEvent::fault_event(
-                               obs::FaultEventKind::Retry, host.now(), worker,
-                               task, -1, delay));
+    engine.record(worker, obs::TraceEvent::fault_event(
+                              obs::FaultEventKind::Retry, host.now(), worker,
+                              task, -1, delay));
     fr->delayed.push_back({Clock::now() + to_duration(delay), task});
     cv_service.notify_all();  // the service re-arms on the new timer
   };
@@ -250,8 +230,8 @@ void ThreadedBackend::drive(RunEngine& engine) {
     return true;
   };
 
-  // Injects the planned deaths due by `now_tp` (the fault service lane
-  // emits their events).
+  // Injects the planned deaths due by `now_tp` (recorded on the fault
+  // service lane).
   const auto inject_due_deaths = [&](Clock::time_point now_tp) {
     while (fr->next_death < fr->deaths.size()) {
       const WorkerDeath& d = fr->deaths[fr->next_death];
@@ -261,24 +241,19 @@ void ThreadedBackend::drive(RunEngine& engine) {
       fr->dead[static_cast<std::size_t>(d.worker)] = 1;
       host.set_dead(d.worker);
       --fr->alive;
-      ++fr->stats.worker_deaths;
-      fr->stats.degraded = true;
-      if (stream)
-        stream->emit(num_threads, obs::TraceEvent::fault_event(
-                                      obs::FaultEventKind::WorkerDeath,
-                                      host.now(), d.worker));
+      engine.record(num_threads, obs::TraceEvent::fault_event(
+                                     obs::FaultEventKind::WorkerDeath,
+                                     host.now(), d.worker));
       auto& run = fr->running[static_cast<std::size_t>(d.worker)];
       if (run.task >= 0 && run.cancel) run.cancel->store(true);
       for (const int t : sched.on_worker_dead(host, d.worker)) {
-        ++fr->stats.tasks_requeued;
-        if (stream)
-          stream->emit(num_threads, obs::TraceEvent::fault_event(
-                                        obs::FaultEventKind::TaskRequeued,
-                                        host.now(), d.worker, t));
+        engine.record(num_threads, obs::TraceEvent::fault_event(
+                                       obs::FaultEventKind::TaskRequeued,
+                                       host.now(), d.worker, t));
         push_ready(t);
       }
       if (fr->alive == 0 && !lifecycle.all_done())
-        fail_run("every worker died before completion", RunErrorKind::Fault);
+        fail_run(RunErrorKind::Fault, kAllWorkersDeadMessage);
       cv_work.notify_all();
     }
   };
@@ -293,30 +268,26 @@ void ThreadedBackend::drive(RunEngine& engine) {
   }
 
   kernels::ScratchPool scratch_pool(num_threads);
-  std::vector<std::vector<ComputeRecord>> worker_records(
-      static_cast<std::size_t>(num_threads));
 
   const auto worker_loop = [&](int worker) {
     // Per-worker packing scratch for the numeric-kernel attempts; packing
     // never allocates once the buffers reach steady-state size. Emulated
     // attempts simply never touch it.
     kernels::ScratchBinding scratch(scratch_pool.at(worker));
-    std::vector<ComputeRecord>& records =
-        worker_records[static_cast<std::size_t>(worker)];
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      if (lifecycle.all_done() || failed.load()) break;
+      if (lifecycle.all_done() || engine.failed()) break;
       if (token_fired()) break;
       if (fr && fr->dead[static_cast<std::size_t>(worker)] != 0) break;
       const int task = sched.pop_task(host, worker);
       if (task < 0) {
         if (starved(worker)) {
-          const SchedulerError diag = lifecycle.starvation_error(
-              sched.name(), num_threads, [&](int id) {
-                return std::find(current.begin(), current.end(), id) !=
-                       current.end();
-              });
-          fail_run(diag.what(), RunErrorKind::Scheduler);
+          fail_run(RunErrorKind::Scheduler,
+                   lifecycle.starvation_error(
+                       sched.name(), num_threads, [&](int id) {
+                         return std::find(current.begin(), current.end(),
+                                          id) != current.end();
+                       }));
           break;
         }
         waiting_epoch[static_cast<std::size_t>(worker)] = wake_epoch;
@@ -339,11 +310,9 @@ void ThreadedBackend::drive(RunEngine& engine) {
       if (fr && fr->plan.transient_failure_prob > 0.0) {
         std::bernoulli_distribution fail(fr->plan.transient_failure_prob);
         if (fail(fr->rng)) {
-          ++fr->stats.transient_failures;
-          if (stream)
-            stream->emit(worker, obs::TraceEvent::fault_event(
-                                     obs::FaultEventKind::TransientFailure,
-                                     host.now(), worker, task));
+          engine.record(worker, obs::TraceEvent::fault_event(
+                                    obs::FaultEventKind::TransientFailure,
+                                    host.now(), worker, task));
           retry_or_abort(worker, task, "injected transient failure");
           continue;
         }
@@ -393,37 +362,30 @@ void ThreadedBackend::drive(RunEngine& engine) {
         run.cancel.reset();
         run.has_deadline = false;
       }
-      // Lock-free per-worker buffers, merged once after the pool joins;
-      // cancelled and retried attempts are traced like the pre-refactor
-      // executor traced them.
-      if (opt.record_trace)
-        records.push_back({worker, task, g.task(task).kernel, start, end});
-      if (stream)
-        stream->emit(worker, obs::TraceEvent::compute(
-                                 worker, task, g.task(task).kernel, start,
-                                 end));
+      // Cancelled and retried attempts are traced like completed ones;
+      // the engine merges the per-worker lanes after the pool joins.
+      if (engine.recording())
+        engine.record(worker, obs::TraceEvent::compute(
+                                  worker, task, g.task(task).kernel, start,
+                                  end));
       if (!ok) {
-        fail_run(attempt_error, RunErrorKind::Numeric);
+        fail_run(RunErrorKind::Numeric, std::move(attempt_error));
         break;
       }
       if (cancelled) {
         if (timed_out) {
           // Watchdog cancel: the attempt overran its deadline.
-          ++fr->stats.watchdog_timeouts;
-          if (stream)
-            stream->emit(worker, obs::TraceEvent::fault_event(
-                                     obs::FaultEventKind::WatchdogTimeout,
-                                     host.now(), worker, task));
+          engine.record(worker, obs::TraceEvent::fault_event(
+                                    obs::FaultEventKind::WatchdogTimeout,
+                                    host.now(), worker, task));
           retry_or_abort(worker, task, "watchdog timeout");
           continue;
         }
         // Death cancel: the attempt is orphaned; re-enqueue it through
         // the (already degraded) live scheduler and retire this thread.
-        ++fr->stats.tasks_requeued;
-        if (stream)
-          stream->emit(worker, obs::TraceEvent::fault_event(
-                                   obs::FaultEventKind::TaskRequeued,
-                                   host.now(), worker, task));
+        engine.record(worker, obs::TraceEvent::fault_event(
+                                  obs::FaultEventKind::TaskRequeued,
+                                  host.now(), worker, task));
         push_ready(task);
         cv_work.notify_all();
         break;
@@ -457,7 +419,7 @@ void ThreadedBackend::drive(RunEngine& engine) {
   const auto service_loop = [&] {
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      if (fr->stop_service || failed.load()) return;
+      if (fr->stop_service || engine.failed()) return;
       const auto now_tp = Clock::now();
       inject_due_deaths(now_tp);
       // Backed-off retries due now.
@@ -507,30 +469,8 @@ void ThreadedBackend::drive(RunEngine& engine) {
     service.join();
   }
 
-  if (opt.record_trace) {
-    std::size_t total = 0;
-    for (const auto& r : worker_records) total += r.size();
-    std::vector<ComputeRecord> all;
-    all.reserve(total);
-    for (const auto& r : worker_records)
-      all.insert(all.end(), r.begin(), r.end());
-    std::sort(all.begin(), all.end(),
-              [](const ComputeRecord& x, const ComputeRecord& y) {
-                if (x.start != y.start) return x.start < y.start;
-                if (x.end != y.end) return x.end < y.end;
-                return x.task < y.task;
-              });
-    for (const ComputeRecord& r : all) engine.trace().record_compute(r);
-  }
-
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  RunReport& res = engine.report();
-  res.success = !failed.load() && lifecycle.all_done();
-  res.makespan_s = makespan_from(elapsed);
-  res.error = error;
-  res.error_kind = error_kind;
-  if (fr) res.faults = fr->stats;
+  engine.report().makespan_s = makespan_from(
+      std::chrono::duration<double>(Clock::now() - t0).count());
   on_drive_end(engine);
 }
 

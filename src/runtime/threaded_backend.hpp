@@ -10,9 +10,8 @@
 //    `time_scale` (heterogeneous platforms without the hardware), with
 //    cancellable attempts so the fault watchdog can abort overruns.
 //
-// Unlike the DES backend, wall-clock failures (numeric, starvation, fault
-// budget) are reported through RunReport::error_kind instead of thrown:
-// exceptions cannot cross the worker threads.
+// Like the DES backend, failures (numeric, starvation, fault budget,
+// cancel) go through RunEngine::fail into RunReport::error_kind.
 #pragma once
 
 #include <atomic>

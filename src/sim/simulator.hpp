@@ -24,11 +24,14 @@ namespace hetsched {
 
 /// Simulates the execution of `g` on `p` under policy `sched`.
 ///
-/// Throws SchedulerError (a std::logic_error, see fault/fault_error.hpp)
-/// if the scheduler starves ready tasks; with a fault plan, throws
-/// FaultError on an unrecoverable injected fault (retry budget exhausted,
-/// every worker dead, unrecoverable sole-copy data loss) and NumericError
-/// for a forced POTRF failure.
+/// A run that cannot finish comes back with success = false (check it
+/// before reading makespan_s): RunErrorKind::Scheduler when the policy
+/// starves ready tasks; with a fault plan, Fault on an unrecoverable
+/// injected fault (retry budget exhausted, every worker dead, unrecoverable
+/// sole-copy data loss) and Numeric for a forced POTRF failure; Cancelled
+/// or DeadlineExceeded once RunOptions::cancel fires. makespan_s then
+/// holds the virtual time reached. Throws std::invalid_argument only for
+/// bad inputs (uncalibrated kernel, bad fault plan).
 RunReport simulate(const TaskGraph& g, const Platform& p, Scheduler& sched,
                    const RunOptions& opt = {});
 

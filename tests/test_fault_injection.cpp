@@ -4,13 +4,13 @@
 // static-knowledge paths, and the emulated-executor watchdog.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/cholesky_dag.hpp"
-#include "core/numeric_error.hpp"
 #include "exec/scheduled_executor.hpp"
-#include "fault/fault_error.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/recovery.hpp"
 #include "platform/calibration.hpp"
@@ -74,6 +74,37 @@ TEST(FaultPlan, ValidateRejectsBadPlans) {
   plan.slowdowns.clear();
   plan.transient_failure_prob = 1.5;
   EXPECT_NE(plan.validate(2), "");
+  plan.transient_failure_prob = 0.0;
+  ASSERT_EQ(plan.validate(2), "");
+  // Non-finite values fail every range check (NaN passes `x < 0` tests).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    FaultPlan p = plan;
+    p.transient_failure_prob = bad;
+    EXPECT_NE(p.validate(2), "") << "fail prob " << bad;
+    p = plan;
+    p.deaths.push_back({0, bad});
+    EXPECT_NE(p.validate(2), "") << "death time " << bad;
+    p = plan;
+    p.slowdowns.push_back({0, 0.0, 1.0, bad});
+    EXPECT_NE(p.validate(2), "") << "slowdown factor " << bad;
+    p = plan;
+    p.slowdowns.push_back({0, bad, 1.0, 2.0});
+    EXPECT_NE(p.validate(2), "") << "slowdown start " << bad;
+    p = plan;
+    p.slowdowns.push_back({0, 0.0, bad, 2.0});
+    EXPECT_NE(p.validate(2), "") << "slowdown end " << bad;
+    p = plan;
+    p.retry.backoff_base_s = bad;
+    EXPECT_NE(p.validate(2), "") << "backoff base " << bad;
+    p = plan;
+    p.retry.backoff_multiplier = bad;
+    EXPECT_NE(p.validate(2), "") << "backoff multiplier " << bad;
+    p = plan;
+    p.watchdog_timeout_factor = bad;
+    EXPECT_NE(p.validate(2), "") << "watchdog factor " << bad;
+  }
 }
 
 TEST(FaultPlan, SlowdownFactorsCompose) {
@@ -200,12 +231,12 @@ TEST(FaultInjection, AllWorkersDeadAborts) {
   RunOptions opt;
   opt.faults.deaths.push_back({0, 1.0});
   opt.faults.deaths.push_back({1, 1.5});
-  try {
-    simulate(g, p, sched, opt);
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_EQ(e.kind(), FaultError::Kind::AllWorkersDead);
-  }
+  const RunReport r = simulate(g, p, sched, opt);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error_kind, RunErrorKind::Fault);
+  EXPECT_NE(r.error.find("every worker died"), std::string::npos) << r.error;
+  EXPECT_EQ(r.faults.worker_deaths, 2);
+  EXPECT_EQ(r.makespan_s, 1.5);  // the virtual time of the second death
 }
 
 TEST(FaultInjection, RecomputeDisabledAbortsOnSoleCopyLoss) {
@@ -218,13 +249,13 @@ TEST(FaultInjection, RecomputeDisabledAbortsOnSoleCopyLoss) {
   RunOptions opt;
   opt.faults.deaths.push_back({9, 0.7 * healthy});
   opt.faults.allow_recompute = false;
-  try {
-    simulate(g, p, sched, opt);
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_EQ(e.kind(), FaultError::Kind::UnrecoverableDataLoss);
-    EXPECT_GE(e.tile(), 0);
-  }
+  const RunReport r = simulate(g, p, sched, opt);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error_kind, RunErrorKind::Fault);
+  EXPECT_NE(r.error.find("sole copy of tile "), std::string::npos) << r.error;
+  EXPECT_GT(r.faults.sole_copy_losses, 0);
+  EXPECT_EQ(r.faults.recomputations, 0);
+  EXPECT_EQ(r.makespan_s, 0.7 * healthy);  // failed at the death
 }
 
 // ---- Static knowledge under degradation ------------------------------------
@@ -303,14 +334,15 @@ TEST(FaultInjection, RetryBudgetExhaustionAborts) {
   RunOptions opt;
   opt.faults.transient_failure_prob = 1.0;  // every attempt fails
   opt.faults.retry.max_retries = 2;
-  try {
-    simulate(g, p, sched, opt);
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_EQ(e.kind(), FaultError::Kind::RetryBudgetExhausted);
-    EXPECT_GE(e.task(), 0);
-    EXPECT_EQ(e.attempts(), 3);  // initial attempt + 2 retries
-  }
+  const RunReport r = simulate(g, p, sched, opt);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error_kind, RunErrorKind::Fault);
+  // Initial attempt + 2 retries of the chain's first task.
+  EXPECT_NE(r.error.find("retry budget exhausted: task 0 failed 3 time(s)"),
+            std::string::npos)
+      << r.error;
+  EXPECT_EQ(r.faults.transient_failures, 3);
+  EXPECT_EQ(r.faults.retries, 2);
 }
 
 TEST(FaultInjection, FaultSequencesAreSeeded) {
@@ -336,15 +368,12 @@ TEST(FaultInjection, ForcedPotrfFailureReportsTile) {
   DmdaScheduler sched = make_dmdas(g, p);
   RunOptions opt;
   opt.faults.potrf_fail_step = 3;
-  try {
-    simulate(g, p, sched, opt);
-    FAIL() << "expected NumericError";
-  } catch (const NumericError& e) {
-    EXPECT_EQ(e.kernel(), Kernel::POTRF);
-    EXPECT_EQ(e.tile_i(), 3);
-    EXPECT_EQ(e.tile_j(), 3);
-    EXPECT_GE(e.pivot(), 1);  // 1-based, LAPACK info convention
-  }
+  const RunReport r = simulate(g, p, sched, opt);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error_kind, RunErrorKind::Numeric);
+  // Pivot 1: 1-based, LAPACK info convention.
+  EXPECT_EQ(r.error, "POTRF on tile (3, 3): non-positive-definite pivot 1");
+  EXPECT_GT(r.makespan_s, 0.0);  // the panel steps before it ran
 }
 
 // ---- Structured starvation diagnostics -------------------------------------
@@ -360,17 +389,15 @@ TEST(FaultInjection, SchedulerErrorCarriesDiagnostics) {
   const TaskGraph g = chain4();
   const Platform p = tiny_homog(2);
   NullScheduler sched;
-  try {
-    simulate(g, p, sched);
-    FAIL() << "expected SchedulerError";
-  } catch (const SchedulerError& e) {
-    EXPECT_EQ(e.policy(), "null");
-    EXPECT_GE(e.ready_count(), 1);
-    EXPECT_EQ(e.queue_depths().size(), 2u);
-    EXPECT_NE(std::string(e.what()).find("null"), std::string::npos);
-  }
-  // Backward compatibility: SchedulerError still is a std::logic_error.
-  EXPECT_THROW(simulate(g, p, sched), std::logic_error);
+  const RunReport r = simulate(g, p, sched);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error_kind, RunErrorKind::Scheduler);
+  // Policy, ready-set size, stuck task and one queue depth per worker.
+  EXPECT_EQ(r.error,
+            "scheduler starvation (policy 'null'): 1 ready task(s) will never "
+            "run, first stuck task 0; queue depths [0 0]");
+  // The diagnosis is deterministic: a second run fails the same way.
+  EXPECT_EQ(simulate(g, p, sched).error, r.error);
 }
 
 // ---- Emulated executor: watchdog, deaths, retries --------------------------

@@ -265,7 +265,10 @@ TEST(Simulator, StarvationDetected) {
   const TaskGraph g = chain4();
   const Platform p = tiny_homog(1);
   NullScheduler sched;
-  EXPECT_THROW(simulate(g, p, sched), std::logic_error);
+  const RunReport r = simulate(g, p, sched);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error_kind, RunErrorKind::Scheduler);
+  EXPECT_EQ(r.makespan_s, 0.0);  // nothing ever ran
 }
 
 // ---- Determinism and bound consistency ------------------------------------

@@ -45,6 +45,14 @@ TEST(TilePlan, FromTextRejectsMalformedInput) {
   EXPECT_THROW(TilePlan::from_text("2 64\n0\n"), std::invalid_argument);
   EXPECT_THROW(TilePlan::from_text("2 64\n0\n9 0\n"), std::invalid_argument);
   EXPECT_THROW(TilePlan::from_text("2 64\n0\nx 0\n"), std::invalid_argument);
+  // Out-of-range levels are rejected, not narrowed to a uint8_t: 256, 257
+  // and 258 must not read as levels 0, 1 and 2.
+  EXPECT_THROW(TilePlan::from_text("2 960\n256\n0 257\n"),
+               std::invalid_argument);
+  EXPECT_THROW(TilePlan::from_text("2 960\n0\n258 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW(TilePlan::from_text("2 960\n0\n-1 0\n"),
+               std::invalid_argument);
 }
 
 TEST(TilePlan, ValidateRejectsIndivisibleBaseNb) {

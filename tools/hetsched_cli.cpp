@@ -30,10 +30,12 @@
 //
 // Every command prints a short human-readable report (or machine-readable
 // JSON where --json is accepted); `hetsched_cli --help` lists the commands
-// and exit codes. Exit code 0 on success, 2 on bad usage, 3 if the
-// scheduling policy starved ready tasks (SchedulerError), 4 on a numeric
-// (non-SPD) failure, 5 on an unrecoverable injected fault (FaultError),
-// 6 when the run was cancelled or its --deadline-ms elapsed.
+// and exit codes. Exit code 0 on success, 2 on bad usage (including a
+// numeric flag that is not a whole, in-range, finite number), and for a
+// failed run the code of its RunReport::error_kind: 3 if the scheduling
+// policy starved ready tasks, 4 on a numeric (non-SPD) failure, 5 on an
+// unrecoverable injected fault, 6 when the run was cancelled or its
+// --deadline-ms elapsed.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -43,17 +45,34 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "flag_values.hpp"
 #include "hetsched.hpp"
+
+namespace hetsched::tools {
+
+[[noreturn]] void usage(const char* why) {
+  std::fprintf(stderr, "error: %s\n", why);
+  std::fprintf(stderr,
+               "usage: hetsched_cli bounds|simulate|solve|sweep|faults|exec|submit [--key=value ...]\n"
+               "       (run `hetsched_cli --help` for details)\n");
+  std::exit(2);
+}
+
+}  // namespace hetsched::tools
 
 namespace {
 
 using namespace hetsched;
+using tools::int_flag;
+using tools::real_flag;
+using tools::usage;
 
 struct Args {
   std::string command;
@@ -167,11 +186,10 @@ struct Args {
       "  0  success\n"
       "  2  bad usage (unknown command/flag/value)\n"
       "  3  scheduler starvation: the policy held back ready tasks until\n"
-      "     no progress was possible (SchedulerError)\n"
+      "     no progress was possible\n"
       "  4  numeric failure: a tile factorization hit a non-SPD pivot\n"
-      "     (NumericError)\n"
-      "  5  unrecoverable injected fault: every worker died or a task\n"
-      "     exhausted its retry budget (FaultError)\n"
+      "  5  unrecoverable injected fault: every worker died, a task\n"
+      "     exhausted its retry budget or a lost tile could not be rebuilt\n"
       "  6  cancelled: the run's --deadline-ms elapsed (or a submitted\n"
       "     job came back cancelled / deadline-exceeded under --wait)\n",
       sched::scheduler_names_joined(',').c_str(),
@@ -179,12 +197,10 @@ struct Args {
   std::exit(0);
 }
 
-[[noreturn]] void usage(const char* why) {
-  std::fprintf(stderr, "error: %s\n", why);
-  std::fprintf(stderr,
-               "usage: hetsched_cli bounds|simulate|solve|sweep|faults|exec|submit [--key=value ...]\n"
-               "       (run `hetsched_cli --help` for details)\n");
-  std::exit(2);
+/// `--name=v` as an int >= lo.
+int int_arg(const char* name, const std::string& v, int lo) {
+  return static_cast<int>(
+      int_flag(name, v, lo, std::numeric_limits<int>::max()));
 }
 
 bool parse_flag(const std::string& arg, const char* name, std::string* out) {
@@ -229,37 +245,56 @@ Args parse(int argc, char** argv) {
       a.sched = argv[++i];
     }
     else if (parse_flag(arg, "platform", &v)) a.platform = v;
-    else if (parse_flag(arg, "tiles", &v)) a.tiles = std::atoi(v.c_str());
-    else if (parse_flag(arg, "max-tiles", &v)) a.max_tiles = std::atoi(v.c_str());
-    else if (parse_flag(arg, "trsm-cpu-k", &v)) a.trsm_cpu_k = std::atoi(v.c_str());
-    else if (parse_flag(arg, "memory-tiles", &v)) a.memory_tiles = std::atoi(v.c_str());
-    else if (parse_flag(arg, "overhead", &v)) a.overhead = std::atof(v.c_str());
-    else if (parse_flag(arg, "noise", &v)) a.noise = std::atof(v.c_str());
-    else if (parse_flag(arg, "budget", &v)) a.budget = std::atof(v.c_str());
+    else if (parse_flag(arg, "tiles", &v))
+      a.tiles = int_arg("tiles", v, 1);
+    else if (parse_flag(arg, "max-tiles", &v))
+      a.max_tiles = int_arg("max-tiles", v, 1);
+    else if (parse_flag(arg, "trsm-cpu-k", &v))
+      a.trsm_cpu_k = int_arg("trsm-cpu-k", v, 0);
+    else if (parse_flag(arg, "memory-tiles", &v))
+      a.memory_tiles = int_arg("memory-tiles", v, 0);
+    else if (parse_flag(arg, "overhead", &v))
+      a.overhead = real_flag("overhead", v);
+    else if (parse_flag(arg, "noise", &v)) a.noise = real_flag("noise", v);
+    else if (parse_flag(arg, "budget", &v)) a.budget = real_flag("budget", v);
     else if (parse_flag(arg, "seed", &v))
-      a.seed = static_cast<unsigned>(std::atoi(v.c_str()));
-    else if (parse_flag(arg, "kill-worker", &v)) a.kill_worker = std::atoi(v.c_str());
-    else if (parse_flag(arg, "kill-at", &v)) a.kill_at = std::atof(v.c_str());
-    else if (parse_flag(arg, "slow-worker", &v)) a.slow_worker = std::atoi(v.c_str());
-    else if (parse_flag(arg, "slow-from", &v)) a.slow_from = std::atof(v.c_str());
-    else if (parse_flag(arg, "slow-until", &v)) a.slow_until = std::atof(v.c_str());
-    else if (parse_flag(arg, "slow-factor", &v)) a.slow_factor = std::atof(v.c_str());
-    else if (parse_flag(arg, "fail-prob", &v)) a.fail_prob = std::atof(v.c_str());
-    else if (parse_flag(arg, "retries", &v)) a.retries = std::atoi(v.c_str());
-    else if (parse_flag(arg, "potrf-fail-k", &v)) a.potrf_fail_k = std::atoi(v.c_str());
-    else if (parse_flag(arg, "time-scale", &v)) a.time_scale = std::atof(v.c_str());
-    else if (parse_flag(arg, "threads", &v)) a.threads = std::atoi(v.c_str());
-    else if (parse_flag(arg, "nb", &v)) a.nb = std::atoi(v.c_str());
+      a.seed = static_cast<unsigned>(
+          int_flag("seed", v, 0, std::numeric_limits<unsigned>::max()));
+    else if (parse_flag(arg, "kill-worker", &v))
+      a.kill_worker = int_arg("kill-worker", v, 0);
+    else if (parse_flag(arg, "kill-at", &v))
+      a.kill_at = real_flag("kill-at", v);
+    else if (parse_flag(arg, "slow-worker", &v))
+      a.slow_worker = int_arg("slow-worker", v, 0);
+    else if (parse_flag(arg, "slow-from", &v))
+      a.slow_from = real_flag("slow-from", v);
+    else if (parse_flag(arg, "slow-until", &v))
+      a.slow_until = real_flag("slow-until", v);
+    else if (parse_flag(arg, "slow-factor", &v))
+      a.slow_factor = real_flag("slow-factor", v);
+    else if (parse_flag(arg, "fail-prob", &v))
+      a.fail_prob = real_flag("fail-prob", v);
+    else if (parse_flag(arg, "retries", &v))
+      a.retries = int_arg("retries", v, 0);
+    else if (parse_flag(arg, "potrf-fail-k", &v))
+      a.potrf_fail_k = int_arg("potrf-fail-k", v, 0);
+    else if (parse_flag(arg, "time-scale", &v))
+      a.time_scale = real_flag("time-scale", v);
+    else if (parse_flag(arg, "threads", &v))
+      a.threads = int_arg("threads", v, 1);
+    else if (parse_flag(arg, "nb", &v)) a.nb = int_arg("nb", v, 1);
     else if (parse_flag(arg, "tile-plan", &v)) a.tile_plan = v;
     else if (parse_flag(arg, "kernel-tier", &v)) a.kernel_tier = v;
     else if (parse_flag(arg, "trace-stream", &v)) a.trace_stream = v;
     else if (parse_flag(arg, "bounds", &v)) a.bounds_list = v;
     else if (parse_flag(arg, "metrics-interval", &v))
-      a.metrics_interval = std::atof(v.c_str());
-    else if (parse_flag(arg, "deadline-ms", &v)) a.deadline_ms = std::atof(v.c_str());
+      a.metrics_interval = real_flag("metrics-interval", v);
+    else if (parse_flag(arg, "deadline-ms", &v))
+      a.deadline_ms = real_flag("deadline-ms", v);
     else if (parse_flag(arg, "socket", &v)) a.socket_path = v;
-    else if (parse_flag(arg, "count", &v)) a.count = std::atoi(v.c_str());
-    else if (parse_flag(arg, "priority", &v)) a.priority = std::atoi(v.c_str());
+    else if (parse_flag(arg, "count", &v)) a.count = int_arg("count", v, 1);
+    else if (parse_flag(arg, "priority", &v))
+      a.priority = int_arg("priority", v, std::numeric_limits<int>::min());
     else if (arg == "--wait") a.wait = true;
     else if (arg == "--metrics") a.metrics = true;
     else if (arg == "--drain") a.drain = true;
@@ -281,11 +316,6 @@ Args parse(int argc, char** argv) {
     std::fputs(sched::scheduler_help_text().c_str(), stdout);
     std::exit(0);
   }
-  if (a.tiles <= 0) usage("--tiles must be positive");
-  if (a.threads <= 0) usage("--threads must be positive");
-  if (a.nb <= 0) usage("--nb must be positive");
-  if (a.deadline_ms < 0.0) usage("--deadline-ms must be non-negative");
-  if (a.count <= 0) usage("--count must be positive");
   return a;
 }
 
@@ -329,7 +359,7 @@ TilePlan resolve_tile_plan(const Args& a, int base_nb, const Platform& p) {
     return r.plan;
   }
   if (a.tile_plan.rfind("uniform:", 0) == 0) {
-    const int want = std::atoi(a.tile_plan.c_str() + 8);
+    const int want = int_arg("tile-plan=uniform:", a.tile_plan.substr(8), 1);
     for (int l = 0; l <= kMaxTileSplitLevel; ++l)
       if ((base_nb >> l) == want && base_nb % (1 << l) == 0)
         return TilePlan::uniform(a.tiles, base_nb, l);
@@ -455,6 +485,21 @@ struct Streaming {
   std::string label;
 };
 
+// A failed run: its error on stderr and the exit code of its kind (the
+// --help text): 3 scheduler starvation, 4 numeric, 6 cancelled / deadline,
+// 5 the rest.
+int failure_exit_code(const RunReport& r) {
+  std::fprintf(stderr, "%s run failed: %s\n", r.backend.c_str(),
+               r.error.c_str());
+  switch (r.error_kind) {
+    case RunErrorKind::Scheduler: return 3;
+    case RunErrorKind::Numeric: return 4;
+    case RunErrorKind::Cancelled:
+    case RunErrorKind::DeadlineExceeded: return 6;
+    default: return 5;
+  }
+}
+
 int cmd_bounds(const Args& a) {
   const Platform p = build_platform(a, a.tiles);
   const TaskGraph g = build_graph(a, a.tiles);
@@ -512,6 +557,7 @@ int cmd_simulate(const Args& a) {
   if (!named.empty()) streaming.metrics.set_reference_bounds(named);
   opt.stream = streaming.stream();
   const RunReport r = simulate(g, p, *sched, opt);
+  if (!r.success) return failure_exit_code(r);
   std::printf("%s on %s (%s, %d tasks): makespan %.4f s = %.1f GFLOP/s\n",
               sched->name().c_str(), p.name().c_str(), a.algo.c_str(),
               g.num_tasks(), r.makespan_s,
@@ -555,6 +601,7 @@ int cmd_solve(const Args& a) {
   if (a.inject) {
     FixedScheduleScheduler replay(res.schedule);
     const RunReport sim = simulate(g, p, replay);
+    if (!sim.success) return failure_exit_code(sim);
     std::printf("injected into the simulator: %.4f s (%.2f%% of the CP "
                 "value)\n",
                 sim.makespan_s, sim.makespan_s / res.makespan_s * 100.0);
@@ -626,18 +673,6 @@ void print_faults_json(const Args& a, const std::string& sched_name,
   std::printf("  ]\n}\n");
 }
 
-// Shared exit-code mapping of report-carried failures (the --help text):
-// 3 scheduler starvation, 4 numeric, 6 cancelled / deadline, 5 the rest.
-int failure_exit_code(const RunReport& r) {
-  switch (r.error_kind) {
-    case RunErrorKind::Scheduler: return 3;
-    case RunErrorKind::Numeric: return 4;
-    case RunErrorKind::Cancelled:
-    case RunErrorKind::DeadlineExceeded: return 6;
-    default: return 5;
-  }
-}
-
 int cmd_faults(const Args& a) {
   const Platform p = build_platform(a, a.tiles);
   const TaskGraph g = build_graph(a, a.tiles);
@@ -652,77 +687,43 @@ int cmd_faults(const Args& a) {
   // flat row and a streamed JSONL trace describe the same events.
   Streaming streaming(a, p, healthy, /*force_metrics=*/a.json);
 
-  double makespan = 0.0;
-  double wall = 0.0;
-  std::int64_t dropped = 0;
-  FaultStats fstats;
   CancelToken deadline;
   if (a.deadline_ms > 0.0) deadline.set_deadline_after(a.deadline_ms / 1000.0);
-  if (a.emulate) {
-    RunOptions ropt;
-    ropt.record_trace = a.trace;
-    ropt.faults = plan;
-    ropt.stream = streaming.stream();
-    if (a.deadline_ms > 0.0) ropt.cancel = &deadline;
-    const RunReport r =
-        emulate_with_scheduler(g, p, *sched, a.time_scale, ropt);
-    if (!r.success) {
-      std::fprintf(stderr, "emulation failed: %s\n", r.error.c_str());
-      // Mirror the simulator path's exception-to-exit-code mapping; the
-      // threaded backends report failures through the result instead of
-      // throwing across worker threads.
-      return failure_exit_code(r);
-    }
-    makespan = r.makespan_s;
-    wall = r.wall_seconds;
-    dropped = r.dropped_events;
-    fstats = r.faults;
-    if (!a.json) {
-      std::printf("%s emulated on %s (%d tasks): makespan %.4f s "
-                  "(scaled from %.4f s wall)\n",
-                  sched->name().c_str(), p.name().c_str(), g.num_tasks(),
-                  makespan, r.wall_seconds);
-      print_fault_stats(r.faults);
-      print_scheduler_stats(r);
-      streaming.report_drops(r);
-      if (a.trace) std::printf("%s", r.trace.ascii_gantt(100).c_str());
-    }
-  } else {
-    RunOptions opt;
-    opt.noise_seed = a.seed;
-    opt.faults = plan;
-    opt.stream = streaming.stream();
-    if (a.deadline_ms > 0.0) opt.cancel = &deadline;
-    const RunReport r = simulate(g, p, *sched, opt);
-    // The DES backend throws for scheduler/numeric/fault failures but
-    // reports a fired CancelToken through the result.
-    if (!r.success) {
-      std::fprintf(stderr, "simulation aborted: %s\n", r.error.c_str());
-      return failure_exit_code(r);
-    }
-    makespan = r.makespan_s;
-    wall = r.wall_seconds;
-    dropped = r.dropped_events;
-    fstats = r.faults;
-    if (!a.json) {
-      std::printf("%s on %s (%d tasks): makespan %.4f s = %.1f GFLOP/s\n",
-                  sched->name().c_str(), p.name().c_str(), g.num_tasks(),
-                  r.makespan_s, algo_gflops(a, a.tiles, p.nb(), r.makespan_s));
-      print_fault_stats(r.faults);
-      print_scheduler_stats(r);
-      streaming.report_drops(r);
-      if (a.trace) std::printf("%s", r.trace.ascii_gantt(100).c_str());
-    }
-  }
+  RunOptions opt;
+  opt.record_trace = a.trace;
+  opt.noise_seed = a.seed;
+  opt.faults = plan;
+  opt.stream = streaming.stream();
+  if (a.deadline_ms > 0.0) opt.cancel = &deadline;
+  const RunReport r =
+      a.emulate ? emulate_with_scheduler(g, p, *sched, a.time_scale, opt)
+                : simulate(g, p, *sched, opt);
+  if (!r.success) return failure_exit_code(r);
+  const double makespan = r.makespan_s;
 
   if (a.json) {
     // The aggregated stream is authoritative unless a ring overflowed (the
     // report's own counters are then the complete account).
-    if (dropped == 0) fstats = streaming.metrics.snapshot().faults;
-    print_faults_json(a, sched->name(), makespan, wall, fstats, healthy,
-                      dropped);
+    const FaultStats fstats = r.dropped_events == 0
+                                  ? streaming.metrics.snapshot().faults
+                                  : r.faults;
+    print_faults_json(a, sched->name(), makespan, r.wall_seconds, fstats,
+                      healthy, r.dropped_events);
     return 0;
   }
+  if (a.emulate)
+    std::printf("%s emulated on %s (%d tasks): makespan %.4f s "
+                "(scaled from %.4f s wall)\n",
+                sched->name().c_str(), p.name().c_str(), g.num_tasks(),
+                makespan, r.wall_seconds);
+  else
+    std::printf("%s on %s (%d tasks): makespan %.4f s = %.1f GFLOP/s\n",
+                sched->name().c_str(), p.name().c_str(), g.num_tasks(),
+                makespan, algo_gflops(a, a.tiles, p.nb(), makespan));
+  print_fault_stats(r.faults);
+  print_scheduler_stats(r);
+  streaming.report_drops(r);
+  if (a.trace) std::printf("%s", r.trace.ascii_gantt(100).c_str());
   std::printf("mixed bound (healthy) : %.4f s -> efficiency %.1f%%\n",
               healthy, healthy / makespan * 100.0);
   if (a.kill_worker >= 0 && a.algo == "cholesky") {
@@ -769,10 +770,7 @@ int cmd_exec(const Args& a) {
   }
   const RunReport r =
       planned ? execute_plan_parallel(m, plan, opt) : execute_parallel(m, g, opt);
-  if (!r.success) {
-    std::fprintf(stderr, "execution failed: %s\n", r.error.c_str());
-    return failure_exit_code(r);
-  }
+  if (!r.success) return failure_exit_code(r);
   const double gf = gflops(a.tiles, a.nb, r.makespan_s);
   const char* tier = kernels::tier_name(kernels::engine_tier());
   // Flat "<model>_bound_s"/"<model>_ratio" pairs appended to the JSON row.
@@ -997,17 +995,6 @@ int main(int argc, char** argv) {
     if (a.command == "faults") return cmd_faults(a);
     if (a.command == "exec") return cmd_exec(a);
     if (a.command == "submit") return cmd_submit(a);
-  } catch (const SchedulerError& e) {
-    std::fprintf(stderr, "scheduler starvation: %s\n", e.what());
-    std::fprintf(stderr, "  policy=%s stuck_task=%d ready=%d\n",
-                 e.policy().c_str(), e.stuck_task(), e.ready_count());
-    return 3;
-  } catch (const NumericError& e) {
-    std::fprintf(stderr, "numeric failure: %s\n", e.what());
-    return 4;
-  } catch (const FaultError& e) {
-    std::fprintf(stderr, "unrecoverable fault: %s\n", e.what());
-    return 5;
   } catch (const std::invalid_argument& e) {
     // Bad fault plans and other rejected inputs (e.g. a kill-worker id
     // outside the platform) are usage errors, not crashes.

@@ -53,20 +53,10 @@
 #include <thread>
 #include <vector>
 
+#include "flag_values.hpp"
 #include "hetsched.hpp"
 
-namespace {
-
-using namespace hetsched;
-using serve::FactorizationServer;
-
-int g_signal_pipe[2] = {-1, -1};
-
-void on_terminate(int) {
-  const char byte = 1;
-  // Best effort: a full pipe already has a wakeup pending.
-  [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-}
+namespace hetsched::tools {
 
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr, "error: %s\n", why);
@@ -82,6 +72,24 @@ void on_terminate(int) {
   std::exit(2);
 }
 
+}  // namespace hetsched::tools
+
+namespace {
+
+using namespace hetsched;
+using serve::FactorizationServer;
+using tools::int_flag;
+using tools::real_flag;
+using tools::usage;
+
+int g_signal_pipe[2] = {-1, -1};
+
+void on_terminate(int) {
+  const char byte = 1;
+  // Best effort: a full pipe already has a wakeup pending.
+  [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
+}
+
 struct DaemonArgs {
   std::string socket_path;
   serve::ServerOptions server;
@@ -93,33 +101,6 @@ bool flag(const std::string& arg, const char* name, std::string* out) {
   if (arg.rfind(prefix, 0) != 0) return false;
   *out = arg.substr(prefix.size());
   return true;
-}
-
-// Whole-string integer in [lo, hi]; anything else exits through usage().
-long long int_flag(const char* name, const std::string& v, long long lo,
-                   long long hi) {
-  long long x = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
-  if (v.empty() || ec != std::errc() || ptr != end || x < lo || x > hi)
-    usage(("--" + std::string(name) + " takes an integer in [" +
-           std::to_string(lo) + ", " + std::to_string(hi) + "], got '" + v +
-           "'")
-              .c_str());
-  return x;
-}
-
-// Whole-string finite number >= 0; anything else exits through usage().
-double real_flag(const char* name, const std::string& v) {
-  double x = 0.0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
-  if (v.empty() || ec != std::errc() || ptr != end || !std::isfinite(x) ||
-      x < 0.0)
-    usage(("--" + std::string(name) +
-           " takes a finite number >= 0, got '" + v + "'")
-              .c_str());
-  return x;
 }
 
 DaemonArgs parse(int argc, char** argv) {
