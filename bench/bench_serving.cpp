@@ -6,9 +6,7 @@
 // construction and keeps the worker pool busy between jobs, so the sweep
 // prints throughput and mean latency side by side per batch size.
 //
-// Argument-free, like the other bench binaries. The machine-readable
-// variant of this sweep is `bench_to_json --serving` (BENCH_serving.json
-// in CI).
+// Argument-free, like the other bench binaries.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -98,8 +98,9 @@ std::vector<std::string> bound_model_names();
 std::string bound_model_names_joined(char sep = '|');
 
 /// ASAP / ALAP schedule of `g` on unbounded resources at fastest times:
-/// the machinery behind the ALAP bound's level sets and the ALAP-slack
-/// scheduler's priorities. All vectors are indexed by task id.
+/// the machinery behind the ALAP bound's level sets, and its slack keys the
+/// hybrid policy's pinned spine (sched/hybrid_sched.hpp). All vectors are
+/// indexed by task id.
 struct AlapAnalysis {
   /// Whole-graph critical path at fastest times.
   double critical_path_s = 0.0;

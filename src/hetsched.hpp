@@ -36,7 +36,6 @@
 
 // Scheduling policies and static/CP schedule construction.
 #include "cp/cp_solver.hpp"
-#include "cp/spine.hpp"
 #include "sched/dmda.hpp"
 #include "sched/eager_sched.hpp"
 #include "sched/fixed_sched.hpp"

@@ -77,25 +77,6 @@ class JsonlSink final : public Sink {
   std::ostream* out_;
 };
 
-/// Flat CSV, one row per event, uniform header:
-///   seq,kind,worker,task,kernel,tile,from_node,to_node,start,end,value
-/// Fields not applicable to a kind are left empty.
-class CsvSink final : public Sink {
- public:
-  explicit CsvSink(const std::string& path);
-  explicit CsvSink(std::ostream& out);
-
-  bool ok() const;
-
-  void on_event(std::uint64_t seq, const TraceEvent& e) override;
-  void flush() override;
-
- private:
-  void header();
-  std::ofstream file_;
-  std::ostream* out_;
-};
-
 /// Point-in-time view of the running aggregates.
 struct MetricsSnapshot {
   std::uint64_t compute_events = 0;

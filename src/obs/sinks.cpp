@@ -132,74 +132,6 @@ void JsonlSink::on_event(std::uint64_t seq, const TraceEvent& e) {
 
 void JsonlSink::flush() { out_->flush(); }
 
-// ---- CsvSink --------------------------------------------------------------
-
-CsvSink::CsvSink(const std::string& path)
-    : file_(path, std::ios::trunc), out_(&file_) {
-  header();
-}
-
-CsvSink::CsvSink(std::ostream& out) : out_(&out) { header(); }
-
-bool CsvSink::ok() const { return out_ != &file_ || file_.good(); }
-
-void CsvSink::header() {
-  *out_ << "seq,kind,worker,task,kernel,tile,from_node,to_node,start,end,"
-           "value\n";
-}
-
-void CsvSink::on_event(std::uint64_t seq, const TraceEvent& e) {
-  std::string line;
-  line.reserve(128);
-  append_int(line, static_cast<long long>(seq));
-  switch (e.kind) {
-    case TraceEvent::Kind::Compute:
-      line += ",compute,";
-      append_int(line, e.worker);
-      line += ',';
-      append_int(line, e.task);
-      line += ',';
-      line += to_string(e.kernel);
-      line += ",,,,";
-      append_number(line, e.start);
-      line += ',';
-      append_number(line, e.end);
-      line += ',';
-      break;
-    case TraceEvent::Kind::Transfer:
-      line += ",transfer,,,,";
-      append_int(line, e.tile);
-      line += ',';
-      append_int(line, e.from_node);
-      line += ',';
-      append_int(line, e.to_node);
-      line += ',';
-      append_number(line, e.start);
-      line += ',';
-      append_number(line, e.end);
-      line += ',';
-      break;
-    case TraceEvent::Kind::Fault:
-      line += ",fault,";
-      append_int(line, e.worker);
-      line += ',';
-      append_int(line, e.task);
-      line += ',';
-      line += to_string(e.fault);
-      line += ',';
-      append_int(line, e.tile);
-      line += ",,,";
-      append_number(line, e.start);
-      line += ",,";
-      append_number(line, e.value);
-      break;
-  }
-  line += '\n';
-  *out_ << line;
-}
-
-void CsvSink::flush() { out_->flush(); }
-
 // ---- MetricsAggregator ----------------------------------------------------
 
 void MetricsAggregator::configure(const Platform& p) {

@@ -12,8 +12,6 @@
 #include "bounds/bound_model.hpp"
 #include "core/cholesky_dag.hpp"
 #include "core/flops.hpp"
-#include "obs/sink.hpp"
-#include "obs/stream.hpp"
 #include "sched/scheduler_registry.hpp"
 #include "sim/simulator.hpp"
 
@@ -21,8 +19,8 @@ namespace hetsched {
 
 namespace {
 
-// JSON number formatting shared with tools/bench_to_json: plain %.17g keeps
-// round-trip fidelity without trailing-zero noise for typical values.
+// JSON number formatting: plain %.17g keeps round-trip fidelity without
+// trailing-zero noise for typical values.
 std::string json_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -66,15 +64,8 @@ ExperimentCell repeat_averaged(
     const std::string& policy, const TaskGraph& g, const Platform& p, int n,
     const RunOptions& base, int runs, const WorkerFilter& filter,
     const std::function<double(int, const Platform&, double)>& metric,
-    obs::Sink* sink, double* mean_seconds) {
+    double* mean_seconds) {
   const auto& m = metric ? metric : default_metric;
-  // One streamer for all repeats: the sink sees the concatenated stream
-  // (seq monotonic across runs), and memory stays bounded by the rings.
-  std::unique_ptr<obs::TraceStreamer> streamer;
-  if (sink != nullptr) {
-    streamer = std::make_unique<obs::TraceStreamer>();
-    streamer->add_sink(sink);
-  }
   std::vector<double> xs;
   xs.reserve(static_cast<std::size_t>(runs));
   double seconds_sum = 0.0;
@@ -82,15 +73,10 @@ ExperimentCell repeat_averaged(
     RunOptions opt = base;
     opt.noise_seed = static_cast<unsigned>(r);
     opt.record_trace = false;
-    opt.stream = streamer.get();
     auto s =
         sched::make_scheduler(policy, g, p, static_cast<unsigned>(r), filter);
     const RunReport rep = simulate(g, p, *s, opt);
     if (!rep.success) throw std::runtime_error(rep.error);
-    // A MetricsAggregator sink also receives the run's policy counters
-    // (steals, static-pool hits, ...), summed across the repeats.
-    if (auto* agg = dynamic_cast<obs::MetricsAggregator*>(sink))
-      agg->add_scheduler_stats(rep.scheduler_stats);
     seconds_sum += rep.makespan_s;
     xs.push_back(m(n, p, rep.makespan_s));
   }
@@ -160,7 +146,7 @@ ExperimentTable run_experiment(const Experiment& e) {
             s.metric ? s.metric : (e.metric ? e.metric : default_metric);
         double seconds = 0.0;
         cell = repeat_averaged(s.scheduler, gr, p, n, s.options, s.runs,
-                               s.filter, metric, s.sink, &seconds);
+                               s.filter, metric, &seconds);
         if (best_seconds == 0.0 || seconds < best_seconds)
           best_seconds = seconds;
       } else if (s.value) {

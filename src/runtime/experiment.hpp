@@ -11,18 +11,16 @@
 //
 // run_experiment() produces an ExperimentTable that renders as the
 // historical fixed-width text tables, as CSV with uniform headers, or as
-// JSON in the tools/bench_to_json shape. run_experiment_main() adds the
+// flat-row JSON. run_experiment_main() adds the
 // standard --csv/--json/--out=FILE flag handling so a bench binary is just
 // an Experiment literal plus one call.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/task_graph.hpp"
-#include "obs/sink.hpp"
 #include "platform/platform.hpp"
 #include "runtime/options.hpp"
 #include "sched/static_hints.hpp"
@@ -73,12 +71,6 @@ struct SeriesSpec {
   std::function<double(int n, const TaskGraph& g, const Platform& p)> scale;
   /// Per-series metric override; empty inherits the experiment metric.
   std::function<double(int n, const Platform& p, double seconds)> metric;
-  /// Optional event sink (not owned; must outlive the run). Every repeat
-  /// of this scheduler series streams its events through a per-series
-  /// TraceStreamer into this sink -- e.g. a MetricsAggregator accumulating
-  /// across the sweep, or a JsonlSink capturing one series' full stream.
-  /// Ignored by derived series.
-  obs::Sink* sink = nullptr;
 };
 
 struct Experiment {
@@ -117,7 +109,7 @@ struct ExperimentTable {
   std::string text() const;
   /// Uniform header: size,<col>_mean,<col>_sd,...
   std::string csv() const;
-  /// tools/bench_to_json shape: {"experiment": ..., "results": [flat rows]}.
+  /// {"experiment": ..., "results": [flat rows]}, one row per (size, column).
   std::string json() const;
 };
 
@@ -125,9 +117,7 @@ struct ExperimentTable {
 /// SchedulerRegistry spec string ("dmdas", "hybrid:static_fraction=0.6")
 /// -- where seed r overrides options.noise_seed and seeds the random
 /// policy; traces off.
-/// With a non-null `sink`, the repeats stream their events through one
-/// TraceStreamer into it (the sink sees the runs concatenated, seq
-/// monotonic across repeats). A non-null `mean_seconds` receives the mean
+/// A non-null `mean_seconds` receives the mean
 /// raw makespan (pre-metric, pre-scale) -- the bound-ratio columns divide
 /// this by the bound. A failed run throws std::runtime_error with the
 /// report's error: a failed run has no makespan to average.
@@ -135,7 +125,7 @@ ExperimentCell repeat_averaged(
     const std::string& policy, const TaskGraph& g, const Platform& p, int n,
     const RunOptions& base, int runs, const WorkerFilter& filter,
     const std::function<double(int, const Platform&, double)>& metric,
-    obs::Sink* sink = nullptr, double* mean_seconds = nullptr);
+    double* mean_seconds = nullptr);
 
 /// Runs every (size x series) cell. Scheduler series simulate; derived
 /// series see the row built so far (series are evaluated left to right).

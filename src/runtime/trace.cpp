@@ -94,19 +94,6 @@ std::string Trace::ascii_gantt(int width, const std::vector<int>& workers) const
   return out.str();
 }
 
-std::string Trace::to_csv() const {
-  std::ostringstream out;
-  out << "kind,worker_or_tile,task_or_from,kernel_or_to,start,end\n";
-  out.precision(9);
-  for (const ComputeRecord& c : compute_)
-    out << "compute," << c.worker << ',' << c.task << ','
-        << to_string(c.kernel) << ',' << c.start << ',' << c.end << '\n';
-  for (const TransferRecord& t : transfers_)
-    out << "transfer," << t.tile << ',' << t.from_node << ',' << t.to_node
-        << ',' << t.start << ',' << t.end << '\n';
-  return out.str();
-}
-
 std::string Trace::to_svg(const std::vector<int>& workers) const {
   const double span = makespan();
   std::vector<int> ws = workers;

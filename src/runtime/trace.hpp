@@ -73,11 +73,6 @@ class Trace {
   /// Standalone SVG rendering of the Gantt chart.
   std::string to_svg(const std::vector<int>& workers = {}) const;
 
-  /// CSV export: `kind,worker,task,kernel,start,end` rows for compute
-  /// records followed by `transfer,tile,from,to,start,end` rows -- easy to
-  /// load into pandas/gnuplot for custom analyses.
-  std::string to_csv() const;
-
  private:
   int num_workers_;
   std::vector<ComputeRecord> compute_;

@@ -25,8 +25,8 @@
 //
 // The default placement is a communication-free greedy
 // earliest-finish-time list schedule at bottom-level priorities; callers
-// holding a better placement (a CP solution -- see cp/spine.hpp) pass it
-// explicitly.
+// holding a better placement (a CP solution -- cp_solve(...).schedule, see
+// cp/cp_solver.hpp) pass it explicitly.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +71,7 @@ class HybridScheduler final : public Scheduler {
   HybridScheduler(const TaskGraph& g, const Platform& p, Options opt = {});
 
   /// Externally supplied full placement (every task mapped), e.g. a CP
-  /// solution via cp::extract_spine. Throws std::invalid_argument when an
+  /// solution from cp_solve. Throws std::invalid_argument when an
   /// option is out of range or the plan does not cover the graph.
   HybridScheduler(const TaskGraph& g, const Platform& p, StaticSchedule plan,
                   Options opt = {});

@@ -16,6 +16,7 @@
 #include "platform/calibration.hpp"
 #include "sched/dmda.hpp"
 #include "sched/priority_sched.hpp"
+#include "sched/scheduler_registry.hpp"
 #include "sim/simulator.hpp"
 #include "tests/test_util.hpp"
 
@@ -51,10 +52,14 @@ TEST(BoundModelRegistry, UnknownNameThrowsListingModels) {
   }
 }
 
+// Registered by ReplaceKeepsDisplacedModelAlive; the registry has no way to
+// remove it, so later tests over bound_model_names() skip it by name.
+constexpr const char* kConstantModelName = "test-constant";
+
 class ConstantModel final : public bm::BoundModel {
  public:
   explicit ConstantModel(double v) : v_(v) {}
-  std::string name() const override { return "test-constant"; }
+  std::string name() const override { return kConstantModelName; }
   std::string description() const override { return "fixed value (tests)"; }
   double lower_bound_s(const TaskGraph&, const Platform&) const override {
     return v_;
@@ -67,10 +72,10 @@ class ConstantModel final : public bm::BoundModel {
 TEST(BoundModelRegistry, ReplaceKeepsDisplacedModelAlive) {
   auto& reg = bm::BoundModelRegistry::instance();
   reg.register_model(std::make_unique<ConstantModel>(1.0));
-  const bm::BoundModel* first = reg.find("test-constant");
+  const bm::BoundModel* first = reg.find(kConstantModelName);
   ASSERT_NE(first, nullptr);
   reg.register_model(std::make_unique<ConstantModel>(2.0));
-  const bm::BoundModel* second = reg.find("test-constant");
+  const bm::BoundModel* second = reg.find(kConstantModelName);
   ASSERT_NE(second, nullptr);
   EXPECT_NE(first, second);
   // The displaced model is parked, not destroyed: old pointers stay usable.
@@ -78,7 +83,7 @@ TEST(BoundModelRegistry, ReplaceKeepsDisplacedModelAlive) {
   const Platform p = testutil::tiny_hetero();
   EXPECT_DOUBLE_EQ(first->lower_bound_s(g, p), 1.0);
   EXPECT_DOUBLE_EQ(second->lower_bound_s(g, p), 2.0);
-  EXPECT_DOUBLE_EQ(bm::evaluate_bound_s("test-constant", g, p), 2.0);
+  EXPECT_DOUBLE_EQ(bm::evaluate_bound_s(kConstantModelName, g, p), 2.0);
 }
 
 // ---- ALAP analysis --------------------------------------------------------
@@ -200,6 +205,23 @@ TEST(BoundModels, RegistryAgreesWithDirectEvaluations) {
                    mixed_bound(n, p).makespan_s);
   EXPECT_DOUBLE_EQ(bm::evaluate_bound_s("prefix", g, p), prefix_bound(n, p));
   EXPECT_DOUBLE_EQ(bm::evaluate_bound_s("alap", g, p), bm::alap_bound_s(g, p));
+}
+
+TEST(BoundModels, NoModelExceedsASimulatedMakespan) {
+  // A lower bound holds against every schedule, so no registered model may
+  // exceed the makespan dmdas achieves on the same graph and platform.
+  const Platform p = mirage_platform().without_communication();
+  for (const int n : {1, 2, 4, 6, 8, 12, 16}) {
+    const TaskGraph g = build_cholesky_dag(n);
+    auto dmdas = sched::make_scheduler("dmdas", g, p);
+    const RunReport r = simulate(g, p, *dmdas);
+    ASSERT_TRUE(r.success) << r.error;
+    for (const std::string& m : bm::bound_model_names()) {
+      if (m == kConstantModelName) continue;
+      EXPECT_LE(bm::evaluate_bound_s(m, g, p), r.makespan_s + 1e-9)
+          << m << " n=" << n;
+    }
+  }
 }
 
 TEST(BoundModels, PrefixRejectsNonCholeskyHistograms) {

@@ -11,7 +11,7 @@
 
 #include "bounds/bound_model.hpp"
 #include "core/cholesky_dag.hpp"
-#include "cp/spine.hpp"
+#include "cp/cp_solver.hpp"
 #include "fault/fault_plan.hpp"
 #include "platform/calibration.hpp"
 #include "sched/fixed_sched.hpp"
@@ -70,18 +70,16 @@ TEST(HybridScheduler, FractionOneWithoutStealingIsFixedReplay) {
   for (const int n : {4, 6, 8}) {
     const TaskGraph g = build_cholesky_dag(n);
     const Platform p = mirage_platform().without_communication();
-    cp::SpineOptions sopt;
-    sopt.static_fraction = 1.0;
-    sopt.solve_budget_s = 0.2;
-    const cp::SpinePlan spine = cp::extract_spine(g, p, sopt);
-    ASSERT_EQ(spine.schedule.validate(g, p), "");
-    EXPECT_EQ(static_cast<int>(spine.spine_tasks.size()), g.num_tasks());
+    CpOptions copt;
+    copt.time_limit_s = 0.2;
+    const CpResult cp = cp_solve(g, p, copt);
+    ASSERT_EQ(cp.schedule.validate(g, p), "");
 
-    FixedScheduleScheduler replay(spine.schedule);
+    FixedScheduleScheduler replay(cp.schedule);
     sched::HybridScheduler::Options hopt;
     hopt.static_fraction = 1.0;
     hopt.steal_static = false;
-    sched::HybridScheduler hybrid(g, p, spine.schedule, hopt);
+    sched::HybridScheduler hybrid(g, p, cp.schedule, hopt);
     expect_identical_traces(simulate(g, p, replay), simulate(g, p, hybrid),
                             "n=" + std::to_string(n));
     EXPECT_EQ(hybrid.static_count(), g.num_tasks());

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace hetsched {
 namespace {
 
@@ -73,19 +71,6 @@ TEST(Trace, TransfersRecorded) {
   ASSERT_EQ(t.transfers().size(), 1u);
   EXPECT_EQ(t.transfers()[0].tile, 3);
   EXPECT_EQ(t.num_transfer_hops(), 1);
-}
-
-
-TEST(Trace, CsvExport) {
-  Trace t = sample_trace();
-  t.record_transfer({3, 0, 1, 0.2, 0.7});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("kind,worker_or_tile"), std::string::npos);
-  EXPECT_NE(csv.find("compute,0,0,POTRF,0,1"), std::string::npos);
-  EXPECT_NE(csv.find("compute,1,2,TRSM,0.5,2.5"), std::string::npos);
-  EXPECT_NE(csv.find("transfer,3,0,1,0.2,0.7"), std::string::npos);
-  // Header + 3 compute rows + 1 transfer row.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
 }
 
 }  // namespace

@@ -639,8 +639,8 @@ void print_fault_stats(const FaultStats& f) {
   std::printf("        recovery time %.4f s\n", f.recovery_time_s);
 }
 
-// Machine-readable faults report, one flat row in the bench_to_json shape
-// ({"command": ..., "results": [{...}]}).
+// Machine-readable faults report, one flat row in the shape of
+// ExperimentTable::json ({"command": ..., "results": [{...}]}).
 void print_faults_json(const Args& a, const std::string& sched_name,
                        double makespan, double wall_seconds,
                        const FaultStats& f, double healthy_bound,
